@@ -12,7 +12,6 @@ from .autodiff import (
     dropout_apply,
     l2_normalize,
     no_grad,
-    rnn_forward,
 )
 from .errors import (
     ContractError,

@@ -49,12 +49,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self):
         if self.data.size != 1:
             raise ContractError("backward() is only defined for a scalar output")
@@ -114,10 +108,6 @@ class Parameter(Tensor):
     def __init__(self, data, name: str):
         super().__init__(data, requires_grad=True)
         self.name = name
-
-    @property
-    def value(self):
-        return self.data
 
     def __repr__(self):
         return f"Parameter({self.name}, shape={self.data.shape})"
@@ -268,23 +258,6 @@ def reshape(x, shape) -> Tensor:
     return _node(data, (x,), make_backward)
 
 
-def row(x, i: int) -> Tensor:
-    """Select row i of a 2-d tensor."""
-    x = _wrap(x)
-    if x.data.ndim != 2:
-        raise ShapeError(f"row() expects a 2-d tensor, got {x.data.shape}")
-    data = x.data[i]
-
-    def make_backward(out):
-        def backward():
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            x.grad[i] += out.grad
-        return backward
-
-    return _node(data, (x,), make_backward)
-
-
 def gather_rows(x, idx) -> Tensor:
     """Select rows idx (with repeats allowed) of a 2-d tensor."""
     x = _wrap(x)
@@ -301,23 +274,6 @@ def gather_rows(x, idx) -> Tensor:
         return backward
 
     return _node(data, (x,), make_backward)
-
-
-def stack_scalars(xs) -> Tensor:
-    """Stack scalar tensors into a 1-d tensor."""
-    xs = [_wrap(x) for x in xs]
-    for x in xs:
-        if x.data.size != 1:
-            raise ShapeError("stack_scalars expects scalar tensors")
-    data = np.array([float(x.data) for x in xs])
-
-    def make_backward(out):
-        def backward():
-            for i, x in enumerate(xs):
-                _accum(x, np.asarray(out.grad[i]))
-        return backward
-
-    return _node(data, tuple(xs), make_backward)
 
 
 def euclidean(a, b) -> Tensor:
@@ -457,13 +413,3 @@ def rnn_steps(xs, w_in, w_rec, bias, spec: DropoutSpec = None, rng: RngStream = 
         h = tanh(add(add(matmul(x, w_in), matmul(h, w_rec)), bias))
     return h
 
-
-def rnn_forward(seq, w_in, w_rec, bias, spec: DropoutSpec = None, rng: RngStream = None) -> Tensor:
-    """Run the Elman recurrence over a [T, in] sequence tensor."""
-    seq = _wrap(seq)
-    if seq.data.ndim != 2:
-        raise ShapeError(f"rnn_forward expects a [T, in] sequence, got {seq.data.shape}")
-    if seq.data.shape[1] != w_in.data.shape[0]:
-        raise ShapeError(f"rnn input dim {seq.data.shape[1]} does not match weight rows {w_in.data.shape[0]}")
-    steps = [row(seq, t) for t in range(seq.data.shape[0])]
-    return rnn_steps(steps, w_in, w_rec, bias, spec, rng)

@@ -13,7 +13,7 @@ from .autodiff import DISABLED, STOCHASTIC
 from .config import RunConfig, load_config
 from .data import PRESETS, preset_args, read_dataset, synth_generate, write_dataset
 from .errors import McRetrievalError, ParseError, ValidationError
-from .evaluation import evaluate, mc_sweep, modality_ablation, write_report
+from .evaluation import evaluate, mc_sweep, modality_ablation, ranked_galleries, write_report
 from .model import load_checkpoint
 from .training import train
 from .uncertainty import (
@@ -91,10 +91,8 @@ def cmd_retrieve(args):
     if args.k < 1:
         raise ValidationError("--k must be >= 1")
     dist = pairwise_distances(emb.means)
-    for q in queries:
-        qi = index[q]
-        order = sorted((i for i in range(len(emb.ids)) if i != qi),
-                       key=lambda i: (dist[qi, i], str(emb.ids[i])))
+    rows = [index[q] for q in queries]
+    for q, qi, order in zip(queries, rows, ranked_galleries(dist, emb.ids, rows)):
         for rank, i in enumerate(order[: args.k], start=1):
             print(f"{q}\t{rank}\t{emb.ids[i]}\t{dist[qi, i]:.6f}")
     return 0

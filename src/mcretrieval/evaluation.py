@@ -51,13 +51,12 @@ class RetrievalReport:
         }
 
 
-def _ranked_order(dist_row, ids, query_idx):
-    # ascending distance, ascending id on ties, query excluded
-    order = sorted(
-        (i for i in range(len(ids)) if i != query_idx),
-        key=lambda i: (dist_row[i], str(ids[i])),
-    )
-    return order
+def ranked_galleries(dist, ids, queries):
+    """Per query index: the other items by ascending distance, ties by ascending str(id)."""
+    keys = np.array([str(i) for i in ids])
+    for q in queries:
+        order = np.lexsort((keys, dist[q]))
+        yield order[order != q]
 
 
 def evaluate(ids, embeddings, labels, config=None) -> RetrievalReport:
@@ -81,16 +80,12 @@ def evaluate(ids, embeddings, labels, config=None) -> RetrievalReport:
     for lab in labels:
         counts[lab] = counts.get(lab, 0) + 1
 
+    queries = [q for q in range(len(ids)) if counts[labels[q]] >= 2]
     per_query = []
     by_class = {}
     top1_hits = 0
     top5_hits = 0
-    skipped = 0
-    for q in range(len(ids)):
-        if counts[labels[q]] < 2:
-            skipped += 1
-            continue
-        order = _ranked_order(dist[q], ids, q)
+    for q, order in zip(queries, ranked_galleries(dist, ids, queries)):
         rel = [labels[i] == labels[q] for i in order]
         ap = average_precision(rel)
         per_query.append({"id": ids[q], "class": labels[q], "ap": ap})
@@ -113,7 +108,7 @@ def evaluate(ids, embeddings, labels, config=None) -> RetrievalReport:
         per_query=per_query,
         per_class=class_means,
         queries=n_q,
-        skipped_singletons=skipped,
+        skipped_singletons=len(ids) - len(queries),
         config=dict(config or {}),
     )
 

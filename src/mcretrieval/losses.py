@@ -181,21 +181,15 @@ def mask_penalty(masks, coeff: float) -> Tensor:
     return autodiff.mul(total, coeff)
 
 
-def batch_objective(losses, params, lam: float = 0.0) -> Tensor:
+def batch_objective(losses: Tensor, params, lam: float = 0.0) -> Tensor:
     """Mean per-triplet loss plus lam * sum ||W||^2 over the weight parameters.
 
-    Accepts either a list of scalar loss tensors or a single 1-d tensor
-    of per-triplet losses; gradients flow to embeddings and parameters.
+    losses is the 1-d tensor of per-triplet losses; gradients flow to
+    embeddings and parameters.
     """
-    if isinstance(losses, Tensor):
-        if losses.ndim != 1 or losses.data.size == 0:
-            raise ShapeError("batch_objective needs a non-empty 1-d loss tensor")
-        mean = tmean(losses)
-    else:
-        losses = list(losses)
-        if not losses:
-            raise ValidationError("batch_objective needs at least one loss")
-        mean = tmean(autodiff.stack_scalars(losses))
+    if not isinstance(losses, Tensor) or losses.ndim != 1 or losses.data.size == 0:
+        raise ShapeError("batch_objective needs a non-empty 1-d loss tensor")
+    mean = tmean(losses)
     if lam == 0.0:
         return mean
     return mean + weight_penalty(params, lam)

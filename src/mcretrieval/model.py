@@ -23,7 +23,7 @@ from .autodiff import (
     relu,
     rnn_steps,
 )
-from .errors import ShapeError, ValidationError
+from .errors import ParseError, ShapeError, ValidationError
 from .rng import RngStream
 
 VECTOR = "vector"
@@ -163,20 +163,6 @@ class ConditionalNet:
                 return m
         raise ValidationError(f"unknown modality {name!r}; have {[m.name for m in self.modalities]}")
 
-    def encode_modality(self, name: str, payload, spec: DropoutSpec, rng: RngStream = None) -> Tensor:
-        """Encode one modality payload (single item) to the embedding dimension."""
-        m = self._spec_by_name(name)
-        x = np.asarray(payload, dtype=np.float64)
-        if m.kind == VECTOR:
-            if x.shape != (m.input_dim,):
-                raise ShapeError(f"modality {name} expects [{m.input_dim}], got {x.shape}")
-            return self._encode_vector(m, Tensor(x), spec, rng)
-        if x.ndim != 2 or x.shape[1] != m.input_dim:
-            raise ShapeError(f"modality {name} expects [T, {m.input_dim}], got {x.shape}")
-        idx = sample_frame_indices(x.shape[0], m.samples, spec, rng)
-        frames = [Tensor(x[i]) for i in idx]
-        return self._encode_sequence(m, frames, spec, rng)
-
     def _encode_vector(self, m, x, spec, rng):
         pre = f"enc.{m.name}"
         h = dropout_apply(x, spec, rng)
@@ -228,17 +214,12 @@ class ConditionalNet:
         return l2_normalize(gated) if self.normalize else gated
 
     def forward(self, payloads: dict, notion: str, spec: DropoutSpec, rng: RngStream = None) -> Tensor:
-        """Embed one item under one notion. payloads maps modality name to array."""
+        """Embed one item under one notion: a batch of one, flattened to [embed_dim]."""
         if not payloads:
             raise ValidationError("item has no modality payloads")
         for name in payloads:
             self._spec_by_name(name)
-        embs = [
-            self.encode_modality(m.name, payloads[m.name], spec, rng)
-            for m in self.modalities
-            if m.name in payloads
-        ]
-        return self.apply_mask(self.fuse(embs), notion)
+        return autodiff.reshape(self.forward_batch([payloads], notion, spec, rng), (self.embed_dim,))
 
     def forward_batch(self, payload_list, notion: str, spec: DropoutSpec, rng: RngStream = None) -> Tensor:
         """Embed a batch of items sharing the same available modalities.
@@ -248,14 +229,14 @@ class ConditionalNet:
         """
         if not payload_list:
             raise ValidationError("empty batch")
-        names = [m.name for m in self.modalities if all(m.name in p for p in payload_list)]
-        if not names:
+        present = [m for m in self.modalities if all(m.name in p for p in payload_list)]
+        if not present:
             raise ValidationError("no modality is present across the whole batch")
         embs = []
-        for name in names:
-            m = self._spec_by_name(name)
+        for m in present:
+            name = m.name
             if m.kind == VECTOR:
-                x = np.stack([np.asarray(p[name], dtype=np.float64) for p in payload_list])
+                x = np.array([np.asarray(p[name], dtype=np.float64) for p in payload_list])
                 if x.shape[1:] != (m.input_dim,):
                     raise ShapeError(f"modality {name} expects [{m.input_dim}] payloads")
                 embs.append(self._encode_vector(m, Tensor(x), spec, rng))
@@ -267,7 +248,7 @@ class ConditionalNet:
                         raise ShapeError(f"modality {name} expects [T, {m.input_dim}] payloads")
                     idx = sample_frame_indices(seq.shape[0], m.samples, spec, rng)
                     picked.append(seq[idx])
-                stacked = np.stack(picked)  # [B, samples, input_dim]
+                stacked = np.array(picked)  # [B, samples, input_dim]
                 frames = [Tensor(stacked[:, t, :]) for t in range(m.samples)]
                 embs.append(self._encode_sequence(m, frames, spec, rng))
         return self.apply_mask(self.fuse(embs), notion)
@@ -291,28 +272,36 @@ class ConditionalNet:
 
     @classmethod
     def from_checkpoint(cls, doc: dict) -> "ConditionalNet":
+        """Rebuild a saved net; a document of the wrong layout or types is a ValidationError."""
+        if not isinstance(doc, dict):
+            raise ValidationError("a checkpoint must be a JSON object")
         if doc.get("format") != "mcretrieval-checkpoint-v1":
             raise ValidationError(f"not a checkpoint document (format={doc.get('format')!r})")
-        mods = [ModalitySpec(**m) for m in doc["modalities"]]
-        net = cls(
-            mods,
-            doc["notions"],
-            doc["embed_dim"],
-            doc["dropout_rate"],
-            seed=doc.get("seed", 0),
-            normalize=doc["normalize"],
-            _init=False,
-        )
-        stored = doc["params"]
-        for name, p in net.params.items():
-            if name not in stored:
-                raise ValidationError(f"checkpoint is missing parameter {name}")
-            shape = tuple(stored[name]["shape"])
-            if shape != p.data.shape:
-                raise ValidationError(
-                    f"checkpoint parameter {name} has shape {shape}, expected {p.data.shape}"
-                )
-            p.data = np.array(stored[name]["data"], dtype=np.float64).reshape(shape)
+        try:
+            mods = [ModalitySpec(**m) for m in doc["modalities"]]
+            net = cls(
+                mods,
+                doc["notions"],
+                doc["embed_dim"],
+                doc["dropout_rate"],
+                seed=doc.get("seed", 0),
+                normalize=doc["normalize"],
+                _init=False,
+            )
+            stored = doc["params"]
+            for name, p in net.params.items():
+                if name not in stored:
+                    raise ValidationError(f"checkpoint is missing parameter {name}")
+                shape = tuple(stored[name]["shape"])
+                if shape != p.data.shape:
+                    raise ValidationError(
+                        f"checkpoint parameter {name} has shape {shape}, expected {p.data.shape}"
+                    )
+                p.data = np.array(stored[name]["data"], dtype=np.float64).reshape(shape)
+        except KeyError as e:
+            raise ValidationError(f"checkpoint is missing key {e}") from None
+        except (TypeError, ValueError) as e:
+            raise ValidationError(f"malformed checkpoint: {e}") from None
         extra = set(stored) - set(net.params)
         if extra:
             raise ValidationError(f"checkpoint has unexpected parameters {sorted(extra)}")
@@ -327,5 +316,10 @@ def save_checkpoint(net: ConditionalNet, path):
 
 
 def load_checkpoint(path) -> ConditionalNet:
+    """Read a checkpoint; malformed JSON is a ParseError, a malformed document a ValidationError."""
     with open(path) as f:
-        return ConditionalNet.from_checkpoint(json.load(f))
+        try:
+            doc = json.load(f)
+        except json.JSONDecodeError as e:
+            raise ParseError(e.msg, path=str(path), line=e.lineno) from None
+    return ConditionalNet.from_checkpoint(doc)

@@ -18,25 +18,23 @@ def lr_schedule(epoch: int, total_epochs: int, base_lr: float, decay_start: int)
 
 
 class Adam:
-    """Adam with an optional L2 term folded into the gradient.
+    """Adam on the gradients backward() left in each parameter.
 
-    When lam > 0 each step adds 2*lam*value to the gradient before the
-    moment update, the gradient of a lam*sum(w^2) penalty on the loss.
+    Weight decay is not applied here; it enters the loss as a penalty term.
     """
 
-    def __init__(self, params, lr: float = 0.01, betas=(0.9, 0.999), eps: float = 1e-8, lam: float = 0.0):
+    def __init__(self, params, lr: float = 0.01, betas=(0.9, 0.999), eps: float = 1e-8):
         self.params = [p for p in params]
         if not self.params:
             raise ValidationError("Adam needs at least one parameter")
-        if lr <= 0 or eps <= 0 or lam < 0:
-            raise ValidationError(f"bad Adam hyperparameters lr={lr} eps={eps} lam={lam}")
+        if lr <= 0 or eps <= 0:
+            raise ValidationError(f"bad Adam hyperparameters lr={lr} eps={eps}")
         b1, b2 = betas
         if not (0.0 <= b1 < 1.0 and 0.0 <= b2 < 1.0):
             raise ValidationError(f"betas must lie in [0, 1), got {betas}")
         self.lr = lr
         self.b1, self.b2 = b1, b2
         self.eps = eps
-        self.lam = lam
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
@@ -55,8 +53,6 @@ class Adam:
             if not np.all(np.isfinite(g)):
                 name = p.name if isinstance(p, Parameter) else "<unnamed>"
                 raise DivergenceError(f"non-finite gradient for parameter {name}")
-            if self.lam != 0.0:
-                g = g + 2.0 * self.lam * p.data
             m *= self.b1
             m += (1.0 - self.b1) * g
             v *= self.b2

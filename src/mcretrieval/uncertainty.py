@@ -174,7 +174,9 @@ def write_embeddings(path, ids, means, variances, notion: str, mc: int):
 
 
 def read_embeddings(path) -> EmbeddingFile:
+    """Read a file written by write_embeddings; every malformed record is a ParseError with its line."""
     ids, means, variances = [], [], []
+    seen = set()
     notion, mc = None, None
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
@@ -194,9 +196,21 @@ def read_embeddings(path) -> EmbeddingFile:
                     f"record disagrees with file header: notion={rec['notion']!r} mc={rec['mc']}",
                     path=str(path), line=lineno,
                 )
+            if rec["id"] in seen:
+                raise ParseError(f"duplicate id {rec['id']!r}", path=str(path), line=lineno)
+            seen.add(rec["id"])
+            try:
+                mean = np.array(rec["mean"], dtype=np.float64)
+                var = np.array(rec["variance"], dtype=np.float64)
+            except (TypeError, ValueError) as e:
+                raise ParseError(f"embedding values must be numbers: {e}", path=str(path), line=lineno) from None
+            want = means[0].shape if means else (mean.size,)
+            if mean.shape != want or var.shape != want:
+                raise ParseError(f"mean {mean.shape} and variance {var.shape} must both be {want}",
+                                 path=str(path), line=lineno)
             ids.append(rec["id"])
-            means.append(np.array(rec["mean"], dtype=np.float64))
-            variances.append(np.array(rec["variance"], dtype=np.float64))
+            means.append(mean)
+            variances.append(var)
     if notion is None:
         raise ParseError("no embedding records found", path=str(path), line=1)
     return EmbeddingFile(ids=ids, means=np.array(means), variances=np.array(variances),

@@ -17,9 +17,9 @@ from mcretrieval import (
     dense_forward,
     dropout_apply,
     l2_normalize,
-    rnn_forward,
 )
 from mcretrieval import autodiff
+from mcretrieval.autodiff import rnn_steps
 from mcretrieval.gradcheck import grad_check
 
 
@@ -119,7 +119,7 @@ class TestRnn:
         w_in = rng.normal(size=(4, 5))
         w_rec = rng.normal(size=(5, 5))
         b = rng.normal(size=5)
-        got = rnn_forward(Tensor(seq), Tensor(w_in), Tensor(w_rec), Tensor(b)).data
+        got = rnn_steps(list(seq), Tensor(w_in), Tensor(w_rec), Tensor(b)).data
         h = np.zeros(5)
         for t in range(3):
             h = np.tanh(seq[t] @ w_in + h @ w_rec + b)
@@ -131,14 +131,14 @@ class TestRnn:
         w_in = rng.normal(size=(4, 5))
         w_rec = rng.normal(size=(5, 5))
         b = rng.normal(size=5)
-        got = rnn_forward(Tensor(seq), Tensor(w_in), Tensor(w_rec), Tensor(b)).data
+        got = rnn_steps(list(seq), Tensor(w_in), Tensor(w_rec), Tensor(b)).data
         np.testing.assert_allclose(got, np.tanh(seq[0] @ w_in + b), atol=1e-12)
 
     def test_hidden_bounded_by_tanh(self):
         rng = np.random.default_rng(14)
         seq = rng.normal(size=(20, 6)) * 50
-        out = rnn_forward(
-            Tensor(seq), Tensor(rng.normal(size=(6, 8))), Tensor(rng.normal(size=(8, 8))), Tensor(rng.normal(size=8))
+        out = rnn_steps(
+            list(seq), Tensor(rng.normal(size=(6, 8))), Tensor(rng.normal(size=(8, 8))), Tensor(rng.normal(size=8))
         ).data
         assert np.all(np.abs(out) <= 1.0)
 
@@ -150,7 +150,7 @@ class TestRnn:
         w_rec = Tensor(rng.normal(size=(3, 3)))
         b = Tensor(rng.normal(size=3))
         spec = DropoutSpec(0.999999, STOCHASTIC)
-        got = rnn_forward(Tensor(seq), w_in, w_rec, b, spec, RngStream(1, 1)).data
+        got = rnn_steps(list(seq), w_in, w_rec, b, spec, RngStream(1, 1)).data
         h = np.zeros(3)
         for _ in range(2):
             h = np.tanh(h @ w_rec.data + b.data)
@@ -158,11 +158,11 @@ class TestRnn:
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(16)
-        seq = Tensor(rng.normal(size=(3, 4)))
+        seq = rng.normal(size=(3, 4))
         w_in = Parameter(rng.normal(size=(4, 3)) * 0.5, "w_in")
         w_rec = Parameter(rng.normal(size=(3, 3)) * 0.5, "w_rec")
         b = Parameter(rng.normal(size=3) * 0.5, "b")
-        report = grad_check(lambda: autodiff.tsum(rnn_forward(seq, w_in, w_rec, b)), [w_in, w_rec, b])
+        report = grad_check(lambda: autodiff.tsum(rnn_steps(list(seq), w_in, w_rec, b)), [w_in, w_rec, b])
         assert report.passed, report.per_param
 
 

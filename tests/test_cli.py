@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from mcretrieval.cli import build_parser, main
-from mcretrieval.uncertainty import read_embeddings
+from mcretrieval.evaluation import average_precision, evaluate
+from mcretrieval.uncertainty import read_embeddings, write_embeddings
 
 FAST_CFG = {
     "embed_dim": 8, "hidden_dim": 8, "epochs": 3, "decay_start": 1,
@@ -131,6 +132,28 @@ class TestEmbedRetrieve:
         assert "ghost" in capsys.readouterr().err
 
 
+class TestRankersAgree:
+    def test_retrieve_and_evaluate_break_distance_ties_by_id(self, tmp_path, capsys):
+        # four items at exactly distance 1 from "q", listed out of id order
+        ids = ["q", "d", "b", "c", "a", "e"]
+        means = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [3.0, 0.0]])
+        labels = ["A", "B", "B", "A", "A", "B"]
+        path = tmp_path / "ties.jsonl"
+        write_embeddings(path, ids, means, np.zeros_like(means), "goal", 0)
+        assert main(["retrieve", "--embeddings", str(path),
+                     "--query-ids", ",".join(ids), "--k", "5"]) == 0
+        printed = {}
+        for line in capsys.readouterr().out.splitlines():
+            q, _, hit, _ = line.split("\t")
+            printed.setdefault(q, []).append(hit)
+        assert printed["q"] == ["a", "b", "c", "d", "e"]
+        label = dict(zip(ids, labels))
+        report = evaluate(ids, means, labels)
+        for row in report.per_query:
+            rel = [label[h] == row["class"] for h in printed[row["id"]]]
+            assert row["ap"] == pytest.approx(average_precision(rel), abs=1e-15)
+
+
 class TestEvalSweepUncertaintyAblate:
     def test_eval_writes_report(self, workspace, capsys):
         out = workspace["root"] / "report.json"
@@ -191,6 +214,29 @@ class TestEvalSweepUncertaintyAblate:
         doc = json.loads(out.read_text())
         mods = doc["rows"][0][doc["columns"].index("modalities")]
         assert mods == "all" and len(doc["rows"]) == 3
+
+    @pytest.mark.parametrize("case,code", [
+        ("truncated", 3), ("missing_key", 2), ("not_an_object", 2),
+        ("wrong_dim_type", 2), ("wrong_param_type", 2),
+    ])
+    def test_malformed_checkpoint_exits_with_one_line(self, workspace, tmp_path, capsys, case, code):
+        text = workspace["ckpt"].read_text()
+        doc = json.loads(text)
+        bad = {
+            "truncated": text[: len(text) // 2],
+            "missing_key": json.dumps({"format": doc["format"]}),
+            "not_an_object": json.dumps([doc]),
+            "wrong_dim_type": json.dumps({**doc, "embed_dim": "wide"}),
+            "wrong_param_type": json.dumps({**doc, "params": {
+                k: {"shape": v["shape"], "data": "x"} for k, v in doc["params"].items()}}),
+        }[case]
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text(bad)
+        assert main(["eval", "--dataset", str(workspace["data"]), "--checkpoint", str(ckpt),
+                     "--notion", "goal", "--mc", "0"]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error[parse]:" if code == 3 else "error[validation]:")
+        assert err.count("\n") == 1
 
     def test_missing_file_is_validation_exit(self, tmp_path, capsys):
         code = main(["eval", "--dataset", str(tmp_path / "nope.jsonl"),

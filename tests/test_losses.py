@@ -207,17 +207,17 @@ class TestSoftmargin:
 
 class TestBatchObjective:
     def test_mean_of_two_losses(self):
-        out = batch_objective([Tensor(1.0), Tensor(3.0)], [], lam=0.0)
+        out = batch_objective(Tensor([1.0, 3.0]), [], lam=0.0)
         assert float(out.data) == pytest.approx(2.0)
 
     def test_weight_penalty_only(self):
         w = Parameter(np.array([2.0]), "w")
-        out = batch_objective([Tensor(0.0)], [w], lam=0.1)
+        out = batch_objective(Tensor([0.0]), [w], lam=0.1)
         assert float(out.data) == pytest.approx(0.4)
 
     def test_empty_losses_rejected(self):
         with pytest.raises(ValidationError):
-            batch_objective([], [], 0.0)
+            batch_objective(Tensor(np.zeros(0)), [], 0.0)
 
     def test_gradients_reach_embeddings_and_weights(self):
         rng = np.random.default_rng(53)

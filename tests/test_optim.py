@@ -58,16 +58,6 @@ class TestAdam:
             opt.step()
         np.testing.assert_allclose(p.data, [x], atol=1e-15)
 
-    def test_l2_term_shrinks_weights_with_zero_grads(self):
-        p = Parameter(np.array([2.0, -3.0]), "w")
-        opt = Adam([p], lr=0.01, lam=0.05)
-        norms = [np.linalg.norm(p.data)]
-        for _ in range(20):
-            p.grad = np.zeros(2)
-            opt.step()
-            norms.append(np.linalg.norm(p.data))
-        assert all(a > b for a, b in zip(norms, norms[1:]))
-
     def test_nonfinite_gradient_names_parameter(self):
         p = Parameter(np.array([1.0]), "enc.can.w0")
         opt = Adam([p])

@@ -1,5 +1,7 @@
 """Monte Carlo embedding statistics and their serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -214,3 +216,23 @@ class TestSerialization:
         with pytest.raises(ParseError) as exc:
             read_embeddings(path)
         assert exc.value.line == 1
+
+    @pytest.mark.parametrize("field", ["mean", "variance"])
+    def test_ragged_row_is_parse_error(self, tmp_path, field):
+        path = tmp_path / "emb.jsonl"
+        write_embeddings(path, ["a", "b", "c"], np.zeros((3, 3)), np.ones((3, 3)), "goal", 5)
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[2])
+        rec[field] = rec[field][:2]
+        lines[2] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as exc:
+            read_embeddings(path)
+        assert exc.value.line == 3
+
+    def test_duplicate_id_is_parse_error(self, tmp_path):
+        path = tmp_path / "emb.jsonl"
+        write_embeddings(path, ["a", "b", "a"], np.zeros((3, 2)), np.ones((3, 2)), "goal", 5)
+        with pytest.raises(ParseError, match="duplicate id 'a'") as exc:
+            read_embeddings(path)
+        assert exc.value.line == 3
