@@ -165,12 +165,19 @@ def read_dataset(path) -> DatasetFile:
             rec = json.loads(line)
         except json.JSONDecodeError as e:
             _parse_err(str(e), path, lineno)
+        if not isinstance(rec, dict):
+            _parse_err("record must be a JSON object", path, lineno)
         for key in ("id", "labels", "payloads"):
             if key not in rec:
                 _parse_err(f"record missing {key!r}", path, lineno)
+        if isinstance(rec["id"], (list, dict)):
+            _parse_err(f"item id must be a string or number, got {rec['id']!r}", path, lineno)
         if rec["id"] in seen:
             _parse_err(f"duplicate item id {rec['id']!r}", path, lineno)
         seen.add(rec["id"])
+        for key in ("labels", "payloads"):
+            if not isinstance(rec[key], dict):
+                _parse_err(f"{key!r} must be a JSON object", path, lineno)
         for notion in notions:
             if rec["labels"].get(notion) not in classes[notion]:
                 _parse_err(f"bad label for notion {notion!r}", path, lineno)
@@ -179,7 +186,10 @@ def read_dataset(path) -> DatasetFile:
             spec = by_name.get(name)
             if spec is None:
                 _parse_err(f"undeclared modality {name!r}", path, lineno)
-            arr = np.array(raw, dtype=np.float64)
+            try:
+                arr = np.array(raw, dtype=np.float64)
+            except (TypeError, ValueError) as e:
+                _parse_err(f"{name} payload must be a rectangular array of numbers: {e}", path, lineno)
             if spec.kind == VECTOR:
                 if arr.shape != (spec.dim,):
                     _parse_err(f"{name} payload must have dim {spec.dim}", path, lineno)

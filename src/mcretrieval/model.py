@@ -7,6 +7,7 @@ before L2 normalization. Dropout sits in front of every weight layer;
 the hidden-to-hidden path of the recurrence carries none.
 """
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -81,8 +82,16 @@ def sample_frame_indices(length: int, n: int, spec: DropoutSpec, rng: RngStream)
     if length < 1:
         raise ValidationError("empty sequence payload")
     if not spec.stochastic or spec.rate == 0.0:
-        return np.round(np.linspace(0, length - 1, n)).astype(np.intp)
+        return _frame_grid(length, n)
     return np.sort(rng.choice(length, size=n, replace=length < n)).astype(np.intp)
+
+
+@functools.lru_cache(maxsize=4096)
+def _frame_grid(length: int, n: int) -> np.ndarray:
+    # read-only, because every caller shares the one cached array
+    grid = np.round(np.linspace(0, length - 1, n)).astype(np.intp)
+    grid.setflags(write=False)
+    return grid
 
 
 class ConditionalNet:
@@ -197,6 +206,13 @@ class ConditionalNet:
             rng,
         )
 
+    def check_payloads(self, payloads: dict):
+        """An item needs at least one payload, each of a modality this net encodes."""
+        if not payloads:
+            raise ValidationError("item has no modality payloads")
+        for name in payloads:
+            self._spec_by_name(name)
+
     def fuse(self, embeddings) -> Tensor:
         """Mean over the available modality embeddings (absent ones excluded)."""
         if not embeddings:
@@ -215,17 +231,16 @@ class ConditionalNet:
 
     def forward(self, payloads: dict, notion: str, spec: DropoutSpec, rng: RngStream = None) -> Tensor:
         """Embed one item under one notion: a batch of one, flattened to [embed_dim]."""
-        if not payloads:
-            raise ValidationError("item has no modality payloads")
-        for name in payloads:
-            self._spec_by_name(name)
+        self.check_payloads(payloads)
         return autodiff.reshape(self.forward_batch([payloads], notion, spec, rng), (self.embed_dim,))
 
-    def forward_batch(self, payload_list, notion: str, spec: DropoutSpec, rng: RngStream = None) -> Tensor:
+    def forward_batch(self, payload_list, notion: str, spec: DropoutSpec, rng=None) -> Tensor:
         """Embed a batch of items sharing the same available modalities.
 
-        Stacks payloads per time step, so one stochastic pass draws
-        masks for the whole batch from the single stream.
+        Stacks payloads per time step. rng is the mask source: a single
+        RngStream draws every mask for the whole batch, while RowStreams
+        gives row r its masks and frame picks from stream r, exactly as
+        a batch of one on that stream would draw them.
         """
         if not payload_list:
             raise ValidationError("empty batch")
@@ -242,11 +257,12 @@ class ConditionalNet:
                 embs.append(self._encode_vector(m, Tensor(x), spec, rng))
             else:
                 picked = []
-                for p in payload_list:
+                for r, p in enumerate(payload_list):
                     seq = np.asarray(p[name], dtype=np.float64)
                     if seq.ndim != 2 or seq.shape[1] != m.input_dim:
                         raise ShapeError(f"modality {name} expects [T, {m.input_dim}] payloads")
-                    idx = sample_frame_indices(seq.shape[0], m.samples, spec, rng)
+                    row_rng = None if rng is None else rng.row(r)
+                    idx = sample_frame_indices(seq.shape[0], m.samples, spec, row_rng)
                     picked.append(seq[idx])
                 stacked = np.array(picked)  # [B, samples, input_dim]
                 frames = [Tensor(stacked[:, t, :]) for t in range(m.samples)]

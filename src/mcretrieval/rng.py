@@ -5,6 +5,10 @@ Every stochastic component draws from an RngStream identified by a
 independent and the value sequence for a given pair is fixed, so any
 piece of work can be replayed or run concurrently without sharing
 generator state.
+
+A mask source is whatever a forward draws its dropout masks and frame
+picks from: one RngStream serves every row of a batch, as training
+uses, while RowStreams gives each batch row a stream of its own.
 """
 
 import numpy as np
@@ -35,6 +39,10 @@ class RngStream:
         child = (self.stream_id * 0x9E3779B97F4A7C15 + k + 1) & _MASK64
         return RngStream(self.seed, child)
 
+    def row(self, r: int) -> "RngStream":
+        """The stream batch row r draws from: a single stream serves every row."""
+        return self
+
     def uniform(self, shape=None) -> np.ndarray:
         return self._gen.random(size=shape)
 
@@ -52,3 +60,22 @@ class RngStream:
 
     def choice(self, n, size, replace: bool) -> np.ndarray:
         return self._gen.choice(n, size=size, replace=replace)
+
+
+class RowStreams:
+    """One RngStream per batch row, so row r replays exactly what a batch of one on stream r draws."""
+
+    def __init__(self, streams):
+        self.streams = list(streams)
+
+    def row(self, r: int) -> RngStream:
+        return self.streams[r]
+
+    def uniform(self, shape) -> np.ndarray:
+        """Row r of a [rows, k] draw holds the next k values of stream r."""
+        if len(shape) != 2 or shape[0] != len(self.streams):
+            raise ValidationError(f"need a [{len(self.streams)}, k] shape, got {tuple(shape)}")
+        out = np.empty(shape)
+        for stream, dest in zip(self.streams, out):
+            stream._gen.random(out=dest)
+        return out

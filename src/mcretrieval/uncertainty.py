@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff
-from .autodiff import DISABLED, STOCHASTIC, DropoutSpec
+from .autodiff import STOCHASTIC, DropoutSpec
 from .errors import ParseError, ValidationError
-from .rng import RngStream
+from .rng import RngStream, RowStreams
 
 
 @dataclass
@@ -48,57 +48,75 @@ def mc_embed(net, payloads, notion: str, mc: int, seed: int,
              mode: str = STOCHASTIC, renormalize: bool = False) -> McEmbedding:
     """Embed one item with mc dropout passes on streams seed..seed+mc-1.
 
-    Each pass has its own stream, so passes can run in any order (or
-    concurrently) and still reproduce the serial result. With dropout
-    Disabled every pass is the same deterministic forward, which is
-    returned bit-exactly as the mean with zero variance.
+    A one-item embed_dataset whose stream block starts at seed. With
+    dropout Disabled every pass is the same deterministic forward, which
+    is returned bit-exactly as the mean with zero variance.
     """
-    if mc < 1:
-        raise ValidationError(f"mc must be >= 1, got {mc}")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
-    with autodiff.no_grad():
-        if mode == DISABLED:
-            out = net.forward(payloads, notion, DropoutSpec(net.dropout_rate, DISABLED))
-            mean = np.array(out.data)
-            return McEmbedding(mean=mean, variance=np.zeros_like(mean), mc_count=mc)
-        spec = DropoutSpec(net.dropout_rate, STOCHASTIC)
-        passes = np.stack([
-            net.forward(payloads, notion, spec, RngStream(seed, seed + j)).data
-            for j in range(mc)
-        ])
-    agg = aggregate_passes(passes)
-    if renormalize:
-        agg.mean = agg.mean / max(float(np.linalg.norm(agg.mean)), 1e-12)
-    return agg
+    _, means, variances = embed_dataset(net, [(None, payloads)], notion, mc, seed, mode,
+                                        renormalize=renormalize)
+    return McEmbedding(mean=means[0], variance=variances[0], mc_count=mc)
 
 
 # per-item stream blocks are mc-independent so that raising mc only
 # appends passes; sweep points then share their earlier draws
 ITEM_STREAM_STRIDE = 1 << 20
 
+# rows (item x pass) per batched forward; bounds the memory of one call
+CHUNK_ROWS = 2048
+
 
 def embed_dataset(net, items, notion: str, mc: int, seed: int, mode: str = STOCHASTIC,
                   modalities=None, renormalize: bool = False):
-    """mc_embed every item; item i draws from the block seed + i*ITEM_STREAM_STRIDE.
+    """Embed every item with mc dropout passes; item i draws from the block seed + i*ITEM_STREAM_STRIDE.
 
     items are (id, payloads) pairs or objects with .id and .payloads.
-    Returns (ids, means [n, d], variances [n, d]).
+    Items carrying the same modalities run together, whole items at a
+    time, CHUNK_ROWS rows per no-grad forward. Pass j of item i is one
+    row with its own stream RngStream(b, b + j), b = seed + i*ITEM_STREAM_STRIDE,
+    so each pass draws what it would draw alone; Disabled mode runs one
+    row per item and no streams. Returns (ids, means [n, d], variances [n, d]).
     """
+    if mc < 1:
+        raise ValidationError(f"mc must be >= 1, got {mc}")
     if mc > ITEM_STREAM_STRIDE:
         raise ValidationError(f"mc must be <= {ITEM_STREAM_STRIDE}")
-    ids, means, variances = [], [], []
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    spec = DropoutSpec(net.dropout_rate, mode)
+    ids, payload_list, groups = [], [], {}
     for i, item in enumerate(items):
         item_id, payloads = (item if isinstance(item, tuple) else (item.id, item.payloads))
         if modalities is not None:
             payloads = {k: v for k, v in payloads.items() if k in modalities}
             if not payloads:
                 raise ValidationError(f"item {item_id} has none of the requested modalities")
-        emb = mc_embed(net, payloads, notion, mc, seed + i * ITEM_STREAM_STRIDE, mode, renormalize)
+        net.check_payloads(payloads)
         ids.append(item_id)
-        means.append(emb.mean)
-        variances.append(emb.variance)
-    return ids, np.array(means), np.array(variances)
+        payload_list.append(payloads)
+        # forward_batch keeps only the modalities every row carries
+        groups.setdefault(frozenset(payloads), []).append(i)
+
+    passes = mc if spec.stochastic else 1
+    step = max(1, CHUNK_ROWS // passes)
+    means = np.empty((len(ids), net.embed_dim))
+    variances = np.empty_like(means)
+    with autodiff.no_grad():
+        for members in groups.values():
+            for start in range(0, len(members), step):
+                chunk = members[start:start + step]
+                batch = [payload_list[i] for i in chunk for _ in range(passes)]
+                rng = None
+                if spec.stochastic:
+                    blocks = [seed + i * ITEM_STREAM_STRIDE for i in chunk]
+                    rng = RowStreams(RngStream(b, b + j) for b in blocks for j in range(mc))
+                out = net.forward_batch(batch, notion, spec, rng).data
+                for i, rows in zip(chunk, out.reshape(len(chunk), passes, -1)):
+                    agg = aggregate_passes(rows)
+                    # a Disabled mean stays the deterministic forward, bit for bit
+                    if renormalize and spec.stochastic:
+                        agg.mean = agg.mean / max(float(np.linalg.norm(agg.mean)), 1e-12)
+                    means[i], variances[i] = agg.mean, agg.variance
+    return ids, means, variances
 
 
 def scalar_uncertainty(variance) -> float:
@@ -186,9 +204,14 @@ def read_embeddings(path) -> EmbeddingFile:
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ParseError(str(e), path=str(path), line=lineno) from None
+            if not isinstance(rec, dict):
+                raise ParseError("embedding record must be a JSON object", path=str(path), line=lineno)
             for key in ("id", "notion", "mc", "mean", "variance"):
                 if key not in rec:
                     raise ParseError(f"embedding record missing {key!r}", path=str(path), line=lineno)
+            if isinstance(rec["id"], (list, dict)):
+                raise ParseError(f"id must be a string or number, got {rec['id']!r}",
+                                 path=str(path), line=lineno)
             if notion is None:
                 notion, mc = rec["notion"], rec["mc"]
             elif rec["notion"] != notion or rec["mc"] != mc:

@@ -238,6 +238,39 @@ class TestEvalSweepUncertaintyAblate:
         assert err.startswith("error[parse]:" if code == 3 else "error[validation]:")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("case", ["ragged_payload", "labels_list", "id_list"])
+    def test_malformed_dataset_record_exits_with_one_line(self, workspace, tmp_path, capsys, case):
+        lines = workspace["data"].read_text().splitlines()
+        rec = json.loads(lines[2])
+        if case == "ragged_payload":
+            seq = next(k for k, v in rec["payloads"].items() if isinstance(v[0], list))
+            rec["payloads"][seq][-1] = rec["payloads"][seq][-1][:-1]
+        elif case == "labels_list":
+            rec["labels"] = list(rec["labels"].values())
+        else:
+            rec["id"] = [rec["id"]]
+        lines[2] = json.dumps(rec)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["eval", "--dataset", str(bad), "--checkpoint", str(workspace["ckpt"]),
+                     "--notion", "goal", "--mc", "0"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error[parse]:") and "bad.jsonl:3:" in err
+        assert err.count("\n") == 1
+
+    def test_embeddings_id_list_exits_with_one_line(self, tmp_path, capsys):
+        emb = tmp_path / "emb.jsonl"
+        write_embeddings(emb, ["a", "b"], np.zeros((2, 3)), np.ones((2, 3)), "goal", 5)
+        lines = emb.read_text().splitlines()
+        rec = json.loads(lines[1])
+        rec["id"] = ["b"]
+        lines[1] = json.dumps(rec)
+        emb.write_text("\n".join(lines) + "\n")
+        assert main(["retrieve", "--embeddings", str(emb), "--query-ids", "a"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error[parse]:") and "emb.jsonl:2:" in err
+        assert err.count("\n") == 1
+
     def test_missing_file_is_validation_exit(self, tmp_path, capsys):
         code = main(["eval", "--dataset", str(tmp_path / "nope.jsonl"),
                      "--checkpoint", str(tmp_path / "nope.json"), "--notion", "goal"])

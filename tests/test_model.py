@@ -102,6 +102,12 @@ class TestFrameSampling:
         idx = sample_frame_indices(7, 3, DIS, None)
         assert idx.tolist() == [0, 3, 6]
 
+    def test_deterministic_grid_is_cached_read_only(self):
+        a = sample_frame_indices(9, 4, DIS, None)
+        assert a is sample_frame_indices(9, 4, DropoutSpec(0.0, STOCHASTIC), RngStream(0, 0))
+        assert a.tolist() == np.round(np.linspace(0, 8, 4)).astype(np.intp).tolist()
+        assert not a.flags.writeable
+
     def test_full_length_sequences_use_all_frames_either_mode(self):
         sto = DropoutSpec(0.0, STOCHASTIC)
         assert sample_frame_indices(3, 3, DIS, None).tolist() == [0, 1, 2]

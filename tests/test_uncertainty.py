@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from mcretrieval import DISABLED, STOCHASTIC, DropoutSpec, ParseError, ValidationError
+from mcretrieval import DISABLED, STOCHASTIC, DropoutSpec, ParseError, RngStream, ValidationError
+from mcretrieval import uncertainty
 from mcretrieval.model import ConditionalNet, ModalitySpec
+from mcretrieval.rng import RowStreams
 from mcretrieval.uncertainty import (
     ITEM_STREAM_STRIDE,
     aggregate_passes,
@@ -151,6 +153,102 @@ class TestDataset:
         assert np.array_equal(means[0], only.mean)
         with pytest.raises(ValidationError):
             embed_dataset(net, items, "goal", mc=1, seed=0, modalities=["seq_missing"])
+
+
+def per_pass_oracle(net, items, notion, mc, seed):
+    """Each pass as its own batch-of-one forward on RngStream(block, block + j)."""
+    spec = DropoutSpec(net.dropout_rate, STOCHASTIC)
+    means, variances = [], []
+    for i, (_, p) in enumerate(items):
+        block = seed + i * ITEM_STREAM_STRIDE
+        agg = aggregate_passes(np.stack([net.forward(p, notion, spec, RngStream(block, block + j)).data
+                                         for j in range(mc)]))
+        means.append(agg.mean)
+        variances.append(agg.variance)
+    return np.array(means), np.array(variances)
+
+
+BATCH_NETS = {
+    "vector": ([ModalitySpec("v", "vector", 6)], True),
+    "vector_hidden": ([ModalitySpec("v", "vector", 6, hidden_dim=5)], True),
+    "sequence_cells": ([ModalitySpec("s", "sequence", 4, hidden_dim=6, samples=3, cells=2)], True),
+    "unnormalized": ([ModalitySpec("v", "vector", 6, hidden_dim=5),
+                      ModalitySpec("s", "sequence", 4, hidden_dim=6, samples=2)], False),
+}
+
+
+def batch_item(rng, mods, t):
+    return {m.name: rng.normal(size=(t, m.input_dim) if m.kind == "sequence" else m.input_dim)
+            for m in mods}
+
+
+class TestBatchedPasses:
+    @pytest.mark.parametrize("case", sorted(BATCH_NETS))
+    def test_matches_per_pass_oracle(self, case):
+        mods, normalize = BATCH_NETS[case]
+        net = ConditionalNet(mods, ["goal"], embed_dim=7, dropout_rate=0.3, seed=4, normalize=normalize)
+        rng = np.random.default_rng(12)
+        items = [(f"it{i}", batch_item(rng, mods, t=2 + i)) for i in range(5)]
+        ids, means, variances = embed_dataset(net, items, "goal", mc=9, seed=31)
+        want_means, want_vars = per_pass_oracle(net, items, "goal", 9, 31)
+        assert ids == [f"it{i}" for i in range(5)]
+        np.testing.assert_allclose(means, want_means, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(variances, want_vars, rtol=0, atol=1e-12)
+        assert variances.max() > 0
+
+    def test_mixed_modality_sets_match_single_items(self):
+        net = small_net()
+        rng = np.random.default_rng(13)
+        items = []
+        for i in range(6):
+            p = payloads(rng, t=3 + i)
+            keep = [["vec", "seq"], ["vec"], ["seq"]][i % 3]
+            items.append((f"it{i}", {k: p[k] for k in keep}))
+        _, means, variances = embed_dataset(net, items, "goal", mc=4, seed=2)
+        for i, (_, p) in enumerate(items):
+            solo = mc_embed(net, p, "goal", mc=4, seed=2 + i * ITEM_STREAM_STRIDE)
+            assert np.array_equal(means[i], solo.mean)
+            assert np.array_equal(variances[i], solo.variance)
+
+    def test_chunks_match_one_item_at_a_time(self, monkeypatch):
+        net = small_net()
+        rng = np.random.default_rng(14)
+        items = [(f"it{i}", payloads(rng)) for i in range(7)]
+        _, whole, whole_var = embed_dataset(net, items, "goal", mc=3, seed=8)
+        # 7 rows per forward holds two items of 3 passes: 4 chunks, the last one item
+        monkeypatch.setattr(uncertainty, "CHUNK_ROWS", 7)
+        _, chunked, chunked_var = embed_dataset(net, items, "goal", mc=3, seed=8)
+        assert np.array_equal(whole, chunked) and np.array_equal(whole_var, chunked_var)
+        for i, (_, p) in enumerate(items):
+            solo = mc_embed(net, p, "goal", mc=3, seed=8 + i * ITEM_STREAM_STRIDE)
+            assert np.array_equal(chunked[i], solo.mean)
+            assert np.array_equal(chunked_var[i], solo.variance)
+
+    def test_rate_zero_stochastic_equals_disabled(self):
+        net = small_net(p=0.0)
+        rng = np.random.default_rng(15)
+        items = [(f"it{i}", payloads(rng, t=3 + i)) for i in range(4)]
+        _, sto, sto_var = embed_dataset(net, items, "goal", mc=1, seed=6, mode=STOCHASTIC)
+        _, det, _ = embed_dataset(net, items, "goal", mc=1, seed=6, mode=DISABLED)
+        assert np.array_equal(sto, det)
+        assert not sto_var.any()
+        # with more passes every row is still the deterministic forward
+        batch = [p for _, p in items for _ in range(3)]
+        streams = RowStreams(RngStream(6, 6 + j) for j in range(len(batch)))
+        rows = net.forward_batch(batch, "goal", DropoutSpec(0.0, STOCHASTIC), streams).data
+        base = net.forward_batch(batch, "goal", DropoutSpec(0.0, DISABLED)).data
+        assert np.array_equal(rows, base)
+
+    def test_checks_moved_from_mc_embed(self):
+        net = small_net()
+        p = payloads(np.random.default_rng(16))
+        for bad in ({}, {"bogus": np.zeros(5)}):
+            with pytest.raises(ValidationError):
+                embed_dataset(net, [("a", p), ("b", bad)], "goal", mc=2, seed=0)
+        with pytest.raises(ValidationError):
+            embed_dataset(net, [("a", p)], "goal", mc=0, seed=0)
+        with pytest.raises(ValidationError):
+            embed_dataset(net, [("a", p)], "goal", mc=2, seed=-1)
 
 
 class TestSummaries:
