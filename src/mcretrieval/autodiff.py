@@ -276,28 +276,6 @@ def gather_rows(x, idx) -> Tensor:
     return _node(data, (x,), make_backward)
 
 
-def euclidean(a, b) -> Tensor:
-    """Euclidean distance between two vectors.
-
-    The gradient at coincident points (distance 0) is the zero vector.
-    """
-    a, b = _wrap(a), _wrap(b)
-    if a.data.shape != b.data.shape or a.data.ndim != 1:
-        raise ShapeError(f"euclidean expects equal-length vectors, got {a.data.shape} and {b.data.shape}")
-    diff = a.data - b.data
-    d = np.sqrt(np.dot(diff, diff))
-
-    def make_backward(out):
-        def backward():
-            # at coincident points the distance gradient is defined as zero
-            g = (out.grad / out.data) * diff if out.data > 0.0 else np.zeros_like(diff)
-            _accum(a, g)
-            _accum(b, -g)
-        return backward
-
-    return _node(d, (a, b), make_backward)
-
-
 def rownorm(x) -> Tensor:
     """Row-wise Euclidean norms of a 2-d tensor; zero rows get zero gradient."""
     x = _wrap(x)

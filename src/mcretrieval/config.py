@@ -6,6 +6,7 @@ config it was produced under.
 """
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ParseError, ValidationError
@@ -80,7 +81,10 @@ class RunConfig:
 
 
 def load_config(path, overrides: dict | None = None) -> RunConfig:
-    """Read a flat JSON config; overrides (e.g. CLI flags) win over the file."""
+    """Read a flat JSON config; overrides (e.g. CLI flags) win over the file.
+
+    An unknown key, or a value whose JSON type does not match its field, is a ValidationError.
+    """
     try:
         with open(path) as f:
             doc = json.load(f)
@@ -88,10 +92,18 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         raise ParseError(str(e), path=str(path), line=e.lineno) from None
     if not isinstance(doc, dict):
         raise ParseError("config must be a JSON object", path=str(path), line=1)
-    known = {f.name for f in fields(RunConfig)}
-    unknown = sorted(set(doc) - known)
+    types = {f.name: f.type for f in fields(RunConfig)}
+    unknown = sorted(set(doc) - set(types))
     if unknown:
         raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
     if overrides:
         doc.update({k: v for k, v in overrides.items() if v is not None})
+    for key, value in doc.items():
+        want = types[key]
+        # bool is an int subclass, so only a bool field may take one; a float field takes an int
+        if isinstance(value, bool) != (want is bool) \
+                or not isinstance(value, (int, float) if want is float else want) \
+                or (want is float and not math.isfinite(value)):
+            kind = "a finite number" if want is float else f"of type {want.__name__}"
+            raise ValidationError(f"config key {key!r} must be {kind}, got {value!r}")
     return RunConfig(**doc)

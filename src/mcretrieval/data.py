@@ -150,8 +150,11 @@ def read_dataset(path) -> DatasetFile:
         ]
     except (KeyError, TypeError, ValidationError) as e:
         _parse_err(f"bad modality declaration: {e}", path, 1)
-    notions = list(header["notions"])
-    classes = {n: list(cs) for n, cs in header["classes"].items()}
+    notions, classes = header["notions"], header["classes"]
+    if not (isinstance(notions, list) and all(isinstance(n, str) for n in notions)):
+        _parse_err("'notions' must be a list of strings", path, 1)
+    if not (isinstance(classes, dict) and all(isinstance(cs, list) for cs in classes.values())):
+        _parse_err("'classes' must be an object of lists", path, 1)
     if set(notions) != set(classes):
         _parse_err("notions and class vocabularies disagree", path, 1)
 
@@ -195,6 +198,8 @@ def read_dataset(path) -> DatasetFile:
                     _parse_err(f"{name} payload must have dim {spec.dim}", path, lineno)
             elif arr.ndim != 2 or arr.shape[1] != spec.dim:
                 _parse_err(f"{name} payload must be [T, {spec.dim}]", path, lineno)
+            if not np.isfinite(arr).all():
+                _parse_err(f"{name} payload holds a non-finite number", path, lineno)
             payloads[name] = arr
         items.append(Item(rec["id"], rec["labels"], payloads, rec.get("session")))
     return DatasetFile(modalities, notions, classes, items)

@@ -1,19 +1,16 @@
-"""Triplet mining: PK batches, batch-hard selection, semi-hard epoch streams.
+"""Triplet mining: PK batches, batch-hard selection, semi-hard session draws.
 
 Mining is pure index arithmetic over a distance matrix; embeddings are
 produced by a caller-supplied function so the mining schedule itself
 stays independent of any particular network.
 """
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MiningError, SamplingError, ShapeError, ValidationError
 from .rng import RngStream
-
-log = logging.getLogger(__name__)
 
 
 def pairwise_distances(embeddings, block: int = 512) -> np.ndarray:
@@ -127,18 +124,28 @@ class MiningEpochPlan:
             raise ValidationError("synthetic sessions need at least 2 items")
 
 
-def _session_groups(n_items: int, sessions, plan: MiningEpochPlan, rng: RngStream):
+def session_draws(n_items: int, sessions, plan: MiningEpochPlan, rng: RngStream):
+    """Yield one epoch's draws: the items of plan.sessions_per_draw sessions each.
+
+    Each epoch visits every session exactly once. Without session ids,
+    items are first partitioned into random pseudo-sessions of
+    plan.synthetic_session_size; then the session order is drawn from
+    rng. Both draws happen before the first yield.
+    """
     if sessions is None:
-        # no session structure: randomly partition into pseudo-sessions
         order = rng.permutation(n_items)
         size = plan.synthetic_session_size
-        return [order[i : i + size].tolist() for i in range(0, n_items, size)]
-    if len(sessions) != n_items:
-        raise ValidationError(f"got {len(sessions)} session ids for {n_items} items")
-    by_session = {}
-    for i, s in enumerate(sessions):
-        by_session.setdefault(s, []).append(i)
-    return [by_session[key] for key in sorted(by_session, key=str)]
+        groups = [order[i : i + size].tolist() for i in range(0, n_items, size)]
+    else:
+        if len(sessions) != n_items:
+            raise ValidationError(f"got {len(sessions)} session ids for {n_items} items")
+        by_session = {}
+        for i, s in enumerate(sessions):
+            by_session.setdefault(s, []).append(i)
+        groups = [by_session[key] for key in sorted(by_session, key=str)]
+    order = rng.permutation(len(groups))
+    for start in range(0, len(groups), plan.sessions_per_draw):
+        yield [i for g in order[start : start + plan.sessions_per_draw] for i in groups[g]]
 
 
 def semi_hard_draw(dist, labels, cap: int, rng: RngStream):
@@ -173,27 +180,3 @@ def embed_in_chunks(items, embed_fn, chunk_size: int) -> np.ndarray:
     if emb.shape[0] != len(items):
         raise ShapeError("embed_fn returned a wrong number of rows")
     return emb
-
-
-def semi_hard_epoch(labels, sessions, embed_fn, plan: MiningEpochPlan, rng: RngStream):
-    """Yield one [T, 3] triplet batch per draw of plan.sessions_per_draw sessions.
-
-    Each epoch visits every session exactly once, in an order drawn from
-    rng. Per draw: embed the drawn items in chunks of plan.chunk_size,
-    build the full distance matrix once, mine with semi_hard_draw, and
-    yield global item indices. embed_fn maps a list of item indices to
-    an [m, d] array.
-    """
-    labels = list(labels)
-    groups = _session_groups(len(labels), sessions, plan, rng)
-    order = rng.permutation(len(groups))
-    for start in range(0, len(groups), plan.sessions_per_draw):
-        drawn = [groups[g] for g in order[start : start + plan.sessions_per_draw]]
-        items = [i for group in drawn for i in group]
-        emb = embed_in_chunks(items, embed_fn, plan.chunk_size)
-        d = pairwise_distances(emb)
-        batch = semi_hard_draw(d, [labels[i] for i in items], plan.triplet_cap, rng)
-        if batch is None:
-            log.warning("session draw starting at %d yields no usable triplets; skipped", start)
-            continue
-        yield np.asarray(items, dtype=np.intp)[batch]

@@ -314,6 +314,8 @@ class ConditionalNet:
                         f"checkpoint parameter {name} has shape {shape}, expected {p.data.shape}"
                     )
                 p.data = np.array(stored[name]["data"], dtype=np.float64).reshape(shape)
+                if not np.isfinite(p.data).all():
+                    raise ValidationError(f"checkpoint parameter {name} holds a non-finite number")
         except KeyError as e:
             raise ValidationError(f"checkpoint is missing key {e}") from None
         except (TypeError, ValueError) as e:

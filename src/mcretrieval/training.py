@@ -21,12 +21,12 @@ from .errors import ValidationError
 from .losses import batch_objective, mask_penalty, triplet_batch_term
 from .mining import (
     MiningEpochPlan,
-    _session_groups,
     batch_hard_triplets,
     embed_in_chunks,
     pairwise_distances,
     pk_sample,
     semi_hard_draw,
+    session_draws,
 )
 from .model import ConditionalNet, ModalitySpec, SEQUENCE, VECTOR, save_checkpoint
 from .optim import Adam, lr_schedule
@@ -60,21 +60,13 @@ def build_net(dataset: DatasetFile, cfg: RunConfig, notions=None) -> Conditional
                           cfg.dropout, seed=cfg.seed, normalize=normalize)
 
 
-def _objective(net, emb, local_triplets, cfg):
+def _descend(net, opt, emb, local_triplets, cfg, lr):
+    """Objective on a [T, 3] batch of row indices into emb, then one Adam step; returns the loss."""
     margin = 0.0 if cfg.loss == SOFT_MARGIN else cfg.margin
     losses = triplet_batch_term(emb, local_triplets, margin)
     obj = batch_objective(losses, net.weight_matrices(), cfg.weight_decay)
     if cfg.mask_l1 > 0:
         obj = obj + mask_penalty(net.mask_parameters(), cfg.mask_l1)
-    return obj
-
-
-def _step(net, opt, dataset, triplets, notion, cfg, lr, drop_rng):
-    """One gradient step on a [T, 3] batch of global item indices."""
-    uniq, local = np.unique(triplets, return_inverse=True)
-    payloads = [dataset.items[g].payloads for g in uniq]
-    emb = net.forward_batch(payloads, notion, DropoutSpec(cfg.dropout, STOCHASTIC), drop_rng)
-    obj = _objective(net, emb, local.reshape(-1, 3), cfg)
     opt.zero_grad()
     obj.backward()
     opt.step(lr=lr)
@@ -121,25 +113,17 @@ def train(dataset: DatasetFile, cfg: RunConfig, out_dir=None, notions=None) -> T
                 batch = pk_sample(labels[notion], cfg.p_classes, cfg.k_per_class,
                                   pk_rng_root.substream(step))
                 payloads = [dataset.items[i].payloads for i in batch.indices]
-                drop_rng = drop_rng_root.substream(step)
-                emb = net.forward_batch(payloads, notion,
-                                        DropoutSpec(cfg.dropout, STOCHASTIC), drop_rng)
+                emb = net.forward_batch(payloads, notion, DropoutSpec(cfg.dropout, STOCHASTIC),
+                                        drop_rng_root.substream(step))
                 local = batch_hard_triplets(emb.data, [labels[notion][i] for i in batch.indices])
-                obj = _objective(net, emb, local, cfg)
-                opt.zero_grad()
-                obj.backward()
-                opt.step(lr=lr)
-                losses.append(float(obj.data))
+                losses.append(_descend(net, opt, emb, local, cfg, lr))
                 triplet_count += len(local)
                 step += 1
         else:
             mine_rng = mine_rng_root.substream(epoch)
-            groups = _session_groups(len(dataset.items), dataset.sessions(), plan, mine_rng)
-            order = mine_rng.permutation(len(groups))
-            for start in range(0, len(groups), plan.sessions_per_draw):
+            for draw, items in enumerate(session_draws(len(dataset.items), dataset.sessions(),
+                                                       plan, mine_rng)):
                 notion = net.notions[step % len(net.notions)]
-                drawn = [groups[g] for g in order[start : start + plan.sessions_per_draw]]
-                items = [i for group in drawn for i in group]
 
                 def embed_fn(idxs):
                     with autodiff.no_grad():
@@ -150,11 +134,15 @@ def train(dataset: DatasetFile, cfg: RunConfig, out_dir=None, notions=None) -> T
                 batch = semi_hard_draw(dist, [labels[notion][i] for i in items],
                                        plan.triplet_cap, mine_rng)
                 if batch is None:
-                    log.warning("epoch %d: draw at %d has no usable triplets; skipped", epoch, start)
+                    log.warning("epoch %d: draw %d has no usable triplets; skipped", epoch, draw)
                     continue
                 triplets = np.asarray(items, dtype=np.intp)[batch]
-                losses.append(_step(net, opt, dataset, triplets, notion, cfg, lr,
-                                    drop_rng_root.substream(step)))
+                uniq, local = np.unique(triplets, return_inverse=True)
+                payloads = [dataset.items[g].payloads for g in uniq]
+                emb = net.forward_batch(payloads, notion, DropoutSpec(cfg.dropout, STOCHASTIC),
+                                        drop_rng_root.substream(step))
+                losses.append(_descend(net, opt, emb, local.reshape(-1, 3), cfg, lr))
+                del emb  # let the collector free this step's graph before the next draw's forward
                 triplet_count += len(triplets)
                 step += 1
         history.append({

@@ -231,6 +231,8 @@ def read_embeddings(path) -> EmbeddingFile:
             if mean.shape != want or var.shape != want:
                 raise ParseError(f"mean {mean.shape} and variance {var.shape} must both be {want}",
                                  path=str(path), line=lineno)
+            if not (np.isfinite(mean).all() and np.isfinite(var).all()):
+                raise ParseError("embedding values must be finite", path=str(path), line=lineno)
             ids.append(rec["id"])
             means.append(mean)
             variances.append(var)

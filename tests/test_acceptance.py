@@ -16,7 +16,6 @@ from mcretrieval.autodiff import (
     Parameter,
     Tensor,
     dense_forward,
-    euclidean,
     l2_normalize,
     mul,
     relu,
@@ -29,7 +28,7 @@ from mcretrieval.config import RunConfig
 from mcretrieval.data import DatasetFile, preset_args, synth_generate
 from mcretrieval.evaluation import evaluate, mc_sweep
 from mcretrieval.gradcheck import grad_check
-from mcretrieval.losses import ktuplet_loss, ktuplet_upper_bound, triplet_regression
+from mcretrieval.losses import ktuplet_batch_term, ktuplet_upper_bound, triplet_batch_term
 from mcretrieval.mining import (
     batch_hard_triplets,
     pairwise_distances,
@@ -190,15 +189,12 @@ def _family_triplet(rng, margin):
         return None
     if min(np.linalg.norm(unit[0] - unit[1]), np.linalg.norm(unit[0] - unit[2])) < 0.05:
         return None
-    pa = Parameter(raw[0].copy(), "a")
-    pp = Parameter(raw[1].copy(), "p")
-    pn = Parameter(raw[2].copy(), "n")
+    x = Parameter(raw.copy(), "apn")
 
     def f():
-        a, p, n = (l2_normalize(t) for t in (pa, pp, pn))
-        return relu(euclidean(a, p) - euclidean(a, n) + margin)
+        return tsum(triplet_batch_term(l2_normalize(x), [[0, 1, 2]], margin))
 
-    return f, [pa, pp, pn]
+    return f, [x]
 
 
 def _family_softmargin(rng):
@@ -207,12 +203,12 @@ def _family_softmargin(rng):
         return None
     if min(np.linalg.norm(raw[0] - raw[1]), np.linalg.norm(raw[0] - raw[2])) < 0.05:
         return None
-    pa, pp, pn = (Parameter(r.copy(), nm) for r, nm in zip(raw, "apn"))
+    x = Parameter(raw.copy(), "apn")
 
     def f():
-        return relu(euclidean(pa, pp) - euclidean(pa, pn))
+        return tsum(triplet_batch_term(x, [[0, 1, 2]], 0.0))
 
-    return f, [pa, pp, pn]
+    return f, [x]
 
 
 def _family_ktuplet(rng, margin):
@@ -228,17 +224,12 @@ def _family_ktuplet(rng, margin):
     for j in range(k - 2):
         if _hinge_clearance(unit[0], unit[j + 1], unit[j + 2], margin) < 0.02:
             return None
-    params = [Parameter(raw[j].copy(), f"x{j}") for j in range(k)]
+    x = Parameter(raw.copy(), "tuple")
 
     def f():
-        xs = [l2_normalize(p) for p in params]
-        total = relu(euclidean(xs[0], xs[1]) - euclidean(xs[0], xs[2]) + margin)
-        for j in range(1, k - 2):
-            total = total + relu(
-                euclidean(xs[0], xs[j + 1]) - euclidean(xs[0], xs[j + 2]) + margin)
-        return total
+        return tsum(ktuplet_batch_term(l2_normalize(x), [list(range(k))], margin))
 
-    return f, params
+    return f, [x]
 
 
 def test_gradcheck_families_within_tolerance():
@@ -286,21 +277,24 @@ def test_loss_range_bounds_and_k3_equivalence():
     margin = 0.2
     bound = ktuplet_upper_bound(3, margin)
     triples = _unit_rows(rng, 3 * 10**5, 8).reshape(10**5, 3, 8)
-    for a, p, n in triples:
-        v = triplet_regression(a, p, n, margin).value
-        assert 0.0 <= v <= bound
+    idx = np.arange(3 * 10**5).reshape(10**5, 3)
+    v = triplet_batch_term(Tensor(triples.reshape(-1, 8)), idx, margin).data
+    assert v.shape == (10**5,)
+    assert np.all((0.0 <= v) & (v <= bound))
 
     e = np.zeros(8)
     e[0] = 1.0
-    worst = triplet_regression(e, -e, e, margin)
-    assert worst.value == bound
+    worst = triplet_batch_term(Tensor(np.stack([e, -e, e])), [[0, 1, 2]], margin)
+    assert worst.data[0] == bound
 
-    for a, p, n in triples[:10**4]:
-        tri = triplet_regression(a, p, n, margin)
-        tup = ktuplet_loss([a, p, n], margin)
-        assert tup.value == tri.value
-        for g_tup, g_tri in zip(tup.grads, tri.grads):
-            assert np.array_equal(g_tup, g_tri)
+    rows = triples[:10**4].reshape(-1, 8)
+    x_tri, x_tup = Parameter(rows.copy(), "tri"), Parameter(rows.copy(), "tup")
+    tri = triplet_batch_term(x_tri, idx[:10**4], margin)
+    tup = ktuplet_batch_term(x_tup, idx[:10**4], margin)
+    assert np.array_equal(tup.data, tri.data)
+    tsum(tri).backward()
+    tsum(tup).backward()
+    assert np.array_equal(x_tup.grad, x_tri.grad)
 
 
 # --- criterion 3: dropout-off paths reproduce the deterministic baseline ---

@@ -228,13 +228,13 @@ class TestGraph:
         autodiff.tsum(autodiff.relu(x)).backward()
         np.testing.assert_allclose(x.grad, [0.0, 0.0, 1.0])
 
-    def test_euclidean_zero_distance_zero_grad(self):
-        a = Parameter(np.ones(3), "a")
-        b = Parameter(np.ones(3), "b")
-        d = autodiff.euclidean(a, b)
-        d.backward()
-        assert float(d.data) == 0.0
-        np.testing.assert_allclose(a.grad, np.zeros(3))
+    def test_rownorm_zero_distance_zero_grad(self):
+        a = Parameter(np.ones((1, 3)), "a")
+        b = Parameter(np.ones((1, 3)), "b")
+        d = autodiff.rownorm(a - b)
+        autodiff.tsum(d).backward()
+        assert float(d.data[0]) == 0.0
+        np.testing.assert_allclose(a.grad, np.zeros((1, 3)))
 
     def test_gather_rows_scatter_adds(self):
         x = Parameter(np.arange(6.0).reshape(3, 2), "x")

@@ -81,6 +81,32 @@ class TestTrain:
         assert code == 4
         assert capsys.readouterr().err.startswith("error[runtime]:")
 
+    @pytest.mark.parametrize("header", [
+        {"notions": 5}, {"classes": [1]}, {"classes": {"goal": 5, "stimulus": ["stimulus0"]}},
+    ])
+    def test_bad_header_types_exit_with_one_line(self, workspace, tmp_path, capsys, header):
+        lines = workspace["data"].read_text().splitlines()
+        lines[0] = json.dumps({**json.loads(lines[0]), **header})
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["train", "--dataset", str(bad), "--config", str(workspace["cfg"]),
+                     "--out", str(tmp_path / "run")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error[parse]:") and "bad.jsonl:1:" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", [
+        {"epochs": "5"}, {"margin": None}, {"epochs": 5.5}, {"seed": 1.5}, {"normalize": "no"},
+    ])
+    def test_config_value_of_wrong_type_exits_with_one_line(self, workspace, tmp_path, capsys, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**FAST_CFG, **value}))
+        assert main(["train", "--dataset", str(workspace["data"]), "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[validation]:") and next(iter(value)) in err
+        assert err.count("\n") == 1
+
 
 class TestEmbedRetrieve:
     def test_embed_writes_readable_file(self, workspace, capsys):
@@ -217,7 +243,7 @@ class TestEvalSweepUncertaintyAblate:
 
     @pytest.mark.parametrize("case,code", [
         ("truncated", 3), ("missing_key", 2), ("not_an_object", 2),
-        ("wrong_dim_type", 2), ("wrong_param_type", 2),
+        ("wrong_dim_type", 2), ("wrong_param_type", 2), ("infinite_param", 2),
     ])
     def test_malformed_checkpoint_exits_with_one_line(self, workspace, tmp_path, capsys, case, code):
         text = workspace["ckpt"].read_text()
@@ -229,6 +255,9 @@ class TestEvalSweepUncertaintyAblate:
             "wrong_dim_type": json.dumps({**doc, "embed_dim": "wide"}),
             "wrong_param_type": json.dumps({**doc, "params": {
                 k: {"shape": v["shape"], "data": "x"} for k, v in doc["params"].items()}}),
+            "infinite_param": json.dumps({**doc, "params": {
+                k: {"shape": v["shape"], "data": np.full(v["shape"], np.inf).tolist()}
+                for k, v in doc["params"].items()}}),
         }[case]
         ckpt = tmp_path / "ckpt.json"
         ckpt.write_text(bad)
@@ -238,7 +267,7 @@ class TestEvalSweepUncertaintyAblate:
         assert err.startswith("error[parse]:" if code == 3 else "error[validation]:")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("case", ["ragged_payload", "labels_list", "id_list"])
+    @pytest.mark.parametrize("case", ["ragged_payload", "labels_list", "id_list", "nan_payload"])
     def test_malformed_dataset_record_exits_with_one_line(self, workspace, tmp_path, capsys, case):
         lines = workspace["data"].read_text().splitlines()
         rec = json.loads(lines[2])
@@ -247,6 +276,9 @@ class TestEvalSweepUncertaintyAblate:
             rec["payloads"][seq][-1] = rec["payloads"][seq][-1][:-1]
         elif case == "labels_list":
             rec["labels"] = list(rec["labels"].values())
+        elif case == "nan_payload":
+            vec = next(k for k, v in rec["payloads"].items() if not isinstance(v[0], list))
+            rec["payloads"][vec][0] = float("nan")
         else:
             rec["id"] = [rec["id"]]
         lines[2] = json.dumps(rec)
@@ -266,6 +298,16 @@ class TestEvalSweepUncertaintyAblate:
         rec["id"] = ["b"]
         lines[1] = json.dumps(rec)
         emb.write_text("\n".join(lines) + "\n")
+        assert main(["retrieve", "--embeddings", str(emb), "--query-ids", "a"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error[parse]:") and "emb.jsonl:2:" in err
+        assert err.count("\n") == 1
+
+    def test_embeddings_nan_mean_exits_with_one_line(self, tmp_path, capsys):
+        emb = tmp_path / "emb.jsonl"
+        means = np.zeros((2, 3))
+        means[1, 0] = np.nan
+        write_embeddings(emb, ["a", "b"], means, np.ones((2, 3)), "goal", 5)
         assert main(["retrieve", "--embeddings", str(emb), "--query-ids", "a"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error[parse]:") and "emb.jsonl:2:" in err

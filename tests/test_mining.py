@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
-from mcretrieval import MiningError, RngStream, SamplingError
+from mcretrieval import MiningError, RngStream, SamplingError, ValidationError
 from mcretrieval.mining import (
     MiningEpochPlan,
     batch_hard_triplets,
+    embed_in_chunks,
     pairwise_distances,
     pk_sample,
-    semi_hard_epoch,
+    semi_hard_draw,
     semi_hard_negative,
+    session_draws,
 )
 
 
@@ -172,6 +174,15 @@ class TestSemiHardNegative:
             assert got == want
 
 
+def mine_epoch(labels, sessions, embed, plan, rng):
+    """One epoch of training.train's per-draw mining steps over a fixed embedding function."""
+    for items in session_draws(len(labels), sessions, plan, rng):
+        d = pairwise_distances(embed_in_chunks(items, embed, plan.chunk_size))
+        batch = semi_hard_draw(d, [labels[i] for i in items], plan.triplet_cap, rng)
+        if batch is not None:
+            yield np.asarray(items, dtype=np.intp)[batch]
+
+
 class TestSemiHardEpoch:
     def setup_method(self):
         rng = np.random.default_rng(7)
@@ -185,13 +196,13 @@ class TestSemiHardEpoch:
         seen = []
         embed = lambda idx: (seen.extend(idx), self.emb[np.asarray(idx, dtype=int)])[1]
         plan = MiningEpochPlan(sessions_per_draw=2, chunk_size=16, triplet_cap=1000)
-        list(semi_hard_epoch(self.labels, self.sessions, embed, plan, RngStream(1, 0)))
+        list(mine_epoch(self.labels, self.sessions, embed, plan, RngStream(1, 0)))
         assert sorted(seen) == list(range(self.n))
 
     def test_reproducible_from_seed(self):
         plan = MiningEpochPlan(sessions_per_draw=2, chunk_size=64, triplet_cap=50)
-        a = list(semi_hard_epoch(self.labels, self.sessions, self.embed, plan, RngStream(2, 1)))
-        b = list(semi_hard_epoch(self.labels, self.sessions, self.embed, plan, RngStream(2, 1)))
+        a = list(mine_epoch(self.labels, self.sessions, self.embed, plan, RngStream(2, 1)))
+        b = list(mine_epoch(self.labels, self.sessions, self.embed, plan, RngStream(2, 1)))
         assert len(a) == len(b)
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
@@ -205,7 +216,7 @@ class TestSemiHardEpoch:
         emb = rng.normal(size=(n, 4))
         plan = MiningEpochPlan(sessions_per_draw=3, chunk_size=512, triplet_cap=400)
         batches = list(
-            semi_hard_epoch(labels, ["s0"] * n, lambda idx: emb[np.asarray(idx, int)], plan, RngStream(3, 3))
+            mine_epoch(labels, ["s0"] * n, lambda idx: emb[np.asarray(idx, int)], plan, RngStream(3, 3))
         )
         assert len(batches) == 1
         assert batches[0].shape == (400, 3)
@@ -215,12 +226,12 @@ class TestSemiHardEpoch:
         labels = [f"c{i}" for i, s in enumerate(sizes) for _ in range(s)]
         emb = np.random.default_rng(9).normal(size=(5, 3))
         plan = MiningEpochPlan(triplet_cap=400)
-        (batch,) = semi_hard_epoch(labels, ["s"] * 5, lambda idx: emb[np.asarray(idx, int)], plan, RngStream(4, 0))
+        (batch,) = mine_epoch(labels, ["s"] * 5, lambda idx: emb[np.asarray(idx, int)], plan, RngStream(4, 0))
         assert batch.shape == (3 + 1, 3)  # C(3,2) + C(2,2)
 
     def test_triplet_labels_valid(self):
         plan = MiningEpochPlan(sessions_per_draw=2, chunk_size=32, triplet_cap=500)
-        for batch in semi_hard_epoch(self.labels, self.sessions, self.embed, plan, RngStream(5, 0)):
+        for batch in mine_epoch(self.labels, self.sessions, self.embed, plan, RngStream(5, 0)):
             for a, p, n in batch:
                 assert self.labels[a] == self.labels[p] and self.labels[a] != self.labels[n]
 
@@ -228,12 +239,26 @@ class TestSemiHardEpoch:
         seen = []
         embed = lambda idx: (seen.extend(idx), self.emb[np.asarray(idx, dtype=int)])[1]
         plan = MiningEpochPlan(sessions_per_draw=2, synthetic_session_size=13, triplet_cap=1000)
-        list(semi_hard_epoch(self.labels, None, embed, plan, RngStream(6, 0)))
+        list(mine_epoch(self.labels, None, embed, plan, RngStream(6, 0)))
         assert sorted(seen) == list(range(self.n))
 
     def test_single_class_draw_skipped_without_error(self):
         labels = ["a"] * 8
         emb = np.random.default_rng(10).normal(size=(8, 3))
         plan = MiningEpochPlan()
-        out = list(semi_hard_epoch(labels, ["s"] * 8, lambda idx: emb[np.asarray(idx, int)], plan, RngStream(7, 0)))
+        out = list(mine_epoch(labels, ["s"] * 8, lambda idx: emb[np.asarray(idx, int)], plan, RngStream(7, 0)))
         assert out == []
+
+    def test_session_draws_use_rng_groups_then_order(self):
+        # sessionless: one permutation partitions the items, a second orders the groups
+        plan = MiningEpochPlan(sessions_per_draw=2, synthetic_session_size=13)
+        rng = RngStream(8, 0)
+        perm = rng.permutation(self.n)
+        groups = [perm[i : i + 13].tolist() for i in range(0, self.n, 13)]
+        order = rng.permutation(len(groups))
+        want = [[i for g in order[s : s + 2] for i in groups[g]] for s in range(0, len(groups), 2)]
+        assert list(session_draws(self.n, None, plan, RngStream(8, 0))) == want
+
+    def test_session_count_mismatch_rejected(self):
+        with pytest.raises(ValidationError):
+            next(session_draws(self.n, self.sessions[:-1], MiningEpochPlan(), RngStream(9, 0)))

@@ -13,7 +13,7 @@ from mcretrieval import (
 )
 from mcretrieval import autodiff
 from mcretrieval.gradcheck import grad_check
-from mcretrieval.losses import triplet_term
+from mcretrieval.losses import triplet_batch_term
 from mcretrieval.model import (
     ConditionalNet,
     ModalitySpec,
@@ -251,8 +251,8 @@ class TestGradients:
         pls = [payloads(rng) for _ in range(3)]
 
         def f():
-            a, p, n = (net.forward(x, "goal", DIS) for x in pls)
-            return triplet_term(a, p, n, 0.5)
+            emb = net.forward_batch(pls, "goal", DIS)
+            return autodiff.tsum(triplet_batch_term(emb, [[0, 1, 2]], 0.5))
 
         report = grad_check(f, net.parameters())
         assert report.passed, report.per_param
@@ -265,9 +265,8 @@ class TestGradients:
 
         def f():
             # same stream every call, so the dropout mask is a constant
-            r = RngStream(21, 0)
-            a, p, n = (net.forward(x, "goal", spec, r) for x in pls)
-            return triplet_term(a, p, n, 0.5)
+            emb = net.forward_batch(pls, "goal", spec, RngStream(21, 0))
+            return autodiff.tsum(triplet_batch_term(emb, [[0, 1, 2]], 0.5))
 
         report = grad_check(f, net.parameters())
         assert report.passed, report.per_param

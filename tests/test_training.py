@@ -1,12 +1,15 @@
 """End-to-end training loop behavior on small synthetic datasets."""
 
+import logging
+
 import numpy as np
 import pytest
 
-from mcretrieval import DISABLED, DropoutSpec, ValidationError
+from mcretrieval import DISABLED, DropoutSpec, ValidationError, training
 from mcretrieval.config import RunConfig
 from mcretrieval.data import ModalityFormat, synth_generate
 from mcretrieval.evaluation import evaluate
+from mcretrieval.mining import semi_hard_draw
 from mcretrieval.model import load_checkpoint
 from mcretrieval.training import build_net, train
 from mcretrieval.uncertainty import embed_dataset
@@ -108,6 +111,28 @@ class TestSemiHardLoop:
         ds = easy_dataset(sessions=0)
         result = train(ds, small_cfg(epochs=2))
         assert result.history[0]["steps"] >= 1
+
+    def test_draw_without_triplets_warns_once_and_takes_no_step(self, monkeypatch):
+        # the benchmark counts skips as WARNINGs on this logger and checks
+        # steps + skipped == draws, looking semi_hard_draw up in training
+        calls = []
+
+        def draw(*args):
+            calls.append(args)
+            return None if len(calls) == 2 else semi_hard_draw(*args)
+
+        monkeypatch.setattr(training, "semi_hard_draw", draw)
+        records = []
+        handler = logging.Handler(logging.WARNING)
+        handler.emit = records.append
+        logger = logging.getLogger("mcretrieval.training")
+        logger.addHandler(handler)
+        try:
+            result = train(easy_dataset(), small_cfg(epochs=2))
+        finally:
+            logger.removeHandler(handler)
+        assert len(records) == 1 and records[0].levelno == logging.WARNING
+        assert sum(h["steps"] for h in result.history) + 1 == len(calls)
 
 
 class TestBatchHardLoop:
