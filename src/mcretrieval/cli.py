@@ -37,11 +37,8 @@ def _require(args, *names):
 
 def _embed(net, dataset, notion, mc, seed, modalities=None):
     """mc=0 means the deterministic no-dropout baseline."""
-    if mc == 0:
-        return embed_dataset(net, dataset.items, notion, mc=1, seed=seed,
-                             mode=DISABLED, modalities=modalities)
-    return embed_dataset(net, dataset.items, notion, mc=mc, seed=seed,
-                         mode=STOCHASTIC, modalities=modalities)
+    return embed_dataset(net, dataset.items, notion, mc=mc or 1, seed=seed,
+                         mode=STOCHASTIC if mc else DISABLED, modalities=modalities)
 
 
 def cmd_synth(args):
@@ -90,11 +87,11 @@ def cmd_retrieve(args):
         raise ValidationError(f"unknown query ids: {', '.join(missing)}")
     if args.k < 1:
         raise ValidationError("--k must be >= 1")
-    dist = pairwise_distances(emb.means)
     rows = [index[q] for q in queries]
-    for q, qi, order in zip(queries, rows, ranked_galleries(dist, emb.ids, rows)):
+    dist = pairwise_distances(emb.means, rows)
+    for q, row, order in zip(queries, dist, ranked_galleries(dist, emb.ids, rows)):
         for rank, i in enumerate(order[: args.k], start=1):
-            print(f"{q}\t{rank}\t{emb.ids[i]}\t{dist[qi, i]:.6f}")
+            print(f"{q}\t{rank}\t{emb.ids[i]}\t{row[i]:.6f}")
     return 0
 
 
@@ -164,9 +161,7 @@ def cmd_uncertainty(args):
 def cmd_ablate(args):
     dataset = read_dataset(args.dataset)
     net = load_checkpoint(args.checkpoint)
-    subsets = []
-    for raw in args.subsets:
-        subsets.append(None if raw == "all" else _split_csv(raw))
+    subsets = [None if raw == "all" else _split_csv(raw) for raw in args.subsets]
     if not subsets:
         raise ValidationError("--subsets must name at least one modality set")
 

@@ -153,8 +153,9 @@ def read_dataset(path) -> DatasetFile:
     notions, classes = header["notions"], header["classes"]
     if not (isinstance(notions, list) and all(isinstance(n, str) for n in notions)):
         _parse_err("'notions' must be a list of strings", path, 1)
-    if not (isinstance(classes, dict) and all(isinstance(cs, list) for cs in classes.values())):
-        _parse_err("'classes' must be an object of lists", path, 1)
+    if not (isinstance(classes, dict) and all(isinstance(cs, list) for cs in classes.values())
+            and not any(isinstance(c, (list, dict)) for cs in classes.values() for c in cs)):
+        _parse_err("'classes' must be an object of lists of strings or numbers", path, 1)
     if set(notions) != set(classes):
         _parse_err("notions and class vocabularies disagree", path, 1)
 
@@ -173,8 +174,9 @@ def read_dataset(path) -> DatasetFile:
         for key in ("id", "labels", "payloads"):
             if key not in rec:
                 _parse_err(f"record missing {key!r}", path, lineno)
-        if isinstance(rec["id"], (list, dict)):
-            _parse_err(f"item id must be a string or number, got {rec['id']!r}", path, lineno)
+        for key in ("id", "session"):
+            if isinstance(rec.get(key), (list, dict)):
+                _parse_err(f"item {key} must be a string or number, got {rec[key]!r}", path, lineno)
         if rec["id"] in seen:
             _parse_err(f"duplicate item id {rec['id']!r}", path, lineno)
         seen.add(rec["id"])

@@ -52,10 +52,10 @@ class RetrievalReport:
 
 
 def ranked_galleries(dist, ids, queries):
-    """Per query index: the other items by ascending distance, ties by ascending str(id)."""
+    """Per query index and its distance row: the other items by ascending distance, ties by str(id)."""
     keys = np.array([str(i) for i in ids])
-    for q in queries:
-        order = np.lexsort((keys, dist[q]))
+    for row, q in zip(dist, queries):
+        order = np.lexsort((keys, row))
         yield order[order != q]
 
 
@@ -75,12 +75,14 @@ def evaluate(ids, embeddings, labels, config=None) -> RetrievalReport:
     if embeddings.shape[0] < 2:
         raise ValidationError("evaluation needs at least two items")
 
-    dist = pairwise_distances(embeddings)
     counts = {}
     for lab in labels:
         counts[lab] = counts.get(lab, 0) + 1
 
     queries = [q for q in range(len(ids)) if counts[labels[q]] >= 2]
+    if not queries:
+        raise ValidationError("no class has two members; nothing to evaluate")
+    dist = pairwise_distances(embeddings, queries)
     per_query = []
     by_class = {}
     top1_hits = 0
@@ -90,13 +92,8 @@ def evaluate(ids, embeddings, labels, config=None) -> RetrievalReport:
         ap = average_precision(rel)
         per_query.append({"id": ids[q], "class": labels[q], "ap": ap})
         by_class.setdefault(labels[q], []).append(ap)
-        if rel[0]:
-            top1_hits += 1
-        if any(rel[:5]):
-            top5_hits += 1
-
-    if not per_query:
-        raise ValidationError("no class has two members; nothing to evaluate")
+        top1_hits += bool(rel[0])
+        top5_hits += any(rel[:5])
 
     n_q = len(per_query)
     class_means = {lab: float(np.mean(aps)) for lab, aps in by_class.items()}

@@ -12,18 +12,30 @@ import numpy as np
 from .errors import MiningError, SamplingError, ShapeError, ValidationError
 from .rng import RngStream
 
+# byte budget of one distance or mining temporary, whatever the gallery size
+BLOCK_BYTES = 8 << 20
 
-def pairwise_distances(embeddings, block: int = 512) -> np.ndarray:
-    """Full Euclidean distance matrix; exactly symmetric with a zero diagonal."""
+
+def _row_blocks(count: int, row_bytes: int):
+    """Slices over count rows, each block at most BLOCK_BYTES (one row at the least)."""
+    step = max(1, BLOCK_BYTES // max(row_bytes, 1))
+    return (slice(lo, lo + step) for lo in range(0, count, step))
+
+
+def pairwise_distances(embeddings, rows=None) -> np.ndarray:
+    """Euclidean distances from the given rows (default: all) to every row.
+
+    A row has the same bits whichever rows are asked for; the full matrix
+    is exactly symmetric with a zero diagonal.
+    """
     e = np.asarray(embeddings, dtype=np.float64)
     if e.ndim != 2:
         raise ShapeError(f"embeddings must be [n, d], got {e.shape}")
-    n = e.shape[0]
-    out = np.empty((n, n))
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        diff = e[lo:hi, None, :] - e[None, :, :]
-        out[lo:hi] = np.sqrt(np.sum(diff * diff, axis=2))
+    q = e if rows is None else e[np.asarray(rows, dtype=np.intp)]
+    out = np.empty((q.shape[0], e.shape[0]))
+    for blk in _row_blocks(q.shape[0], e.size * 8):
+        diff = q[blk, None, :] - e[None, :, :]
+        out[blk] = np.sqrt(np.sum(diff * diff, axis=2))
     return out
 
 
@@ -75,37 +87,34 @@ def batch_hard_triplets(embeddings, labels) -> np.ndarray:
         raise ShapeError(f"labels length {labels.shape} does not match {n} embeddings")
     if len(set(labels.tolist())) < 2:
         raise MiningError("batch-hard mining needs at least two classes in the batch")
-    same = labels[:, None] == labels[None, :]
-    eye = np.eye(n, dtype=bool)
-    triplets = []
-    for a in range(n):
-        pos_mask = same[a] & ~eye[a]
-        if not pos_mask.any():
-            continue
-        pos = int(np.argmax(np.where(pos_mask, d[a], -np.inf)))
-        neg = int(np.argmin(np.where(~same[a], d[a], np.inf)))
-        triplets.append((a, pos, neg))
-    if not triplets:
+    pos_mask = labels[:, None] == labels[None, :]
+    np.fill_diagonal(pos_mask, False)
+    anchors = np.flatnonzero(pos_mask.any(axis=1))
+    if not anchors.size:
         raise MiningError("every label in the batch is a singleton; no positive pairs exist")
-    return np.array(triplets, dtype=np.intp)
+    triplets = np.repeat(anchors[:, None], 3, axis=1)
+    for blk in _row_blocks(anchors.size, n * 8):
+        a = anchors[blk]
+        triplets[blk, 1] = np.argmax(np.where(pos_mask[a], d[a], -np.inf), axis=1)
+        triplets[blk, 2] = np.argmin(np.where(labels[a, None] != labels, d[a], np.inf), axis=1)
+    return triplets
 
 
 def semi_hard_negative(dist_row, anchor_positive_dist: float, neg_mask) -> int:
-    """Nearest negative farther than the positive; overall farthest as fallback.
+    """Nearest negative farther than the positive, else the farthest; -1 without negatives.
 
-    When a negative exists inside the margin window this picks it (it is
-    the nearest one beyond the positive); ties resolve to the lowest index.
-    Returns -1 when there are no negatives at all.
+    Ties resolve to the lowest index. This is one row of semi_hard_draw's rule.
     """
-    neg_idx = np.flatnonzero(neg_mask)
-    if neg_idx.size == 0:
-        return -1
-    dists = dist_row[neg_idx]
-    beyond = dists > anchor_positive_dist
-    if beyond.any():
-        cand_d = np.where(beyond, dists, np.inf)
-        return int(neg_idx[np.argmin(cand_d)])
-    return int(neg_idx[np.argmax(dists)])
+    row = np.asarray(dist_row, dtype=np.float64)[None]
+    return int(_semi_hard_rows(row, anchor_positive_dist, np.asarray(neg_mask, dtype=bool)[None])[0])
+
+
+def _semi_hard_rows(rows, anchor_positive_dist, neg_mask) -> np.ndarray:
+    """semi_hard_negative for each row of [m, n] distances and negative masks."""
+    beyond = neg_mask & (rows > np.reshape(anchor_positive_dist, (-1, 1)))
+    near = np.argmin(np.where(beyond, rows, np.inf), axis=1)
+    far = np.argmax(np.where(neg_mask, rows, -np.inf), axis=1)
+    return np.where(beyond.any(axis=1), near, np.where(neg_mask.any(axis=1), far, -1))
 
 
 @dataclass
@@ -151,27 +160,23 @@ def session_draws(n_items: int, sessions, plan: MiningEpochPlan, rng: RngStream)
 def semi_hard_draw(dist, labels, cap: int, rng: RngStream):
     """Capped semi-hard triplets (local indices) for one drawn item set.
 
-    Builds every unordered positive pair (the earlier index acts as
-    anchor), picks each pair's negative via semi_hard_negative, then
-    shuffles and truncates to cap. Returns None when no pair has a
-    usable negative.
+    Takes every unordered positive pair in anchor-major order (the earlier
+    index acts as anchor), picks each pair's negative by the
+    semi_hard_negative rule, then keeps a random cap of them in random
+    order. Returns None when no pair has a usable negative.
     """
     labs = np.asarray(labels)
     same = labs[:, None] == labs[None, :]
-    triplets = []
-    for a in range(len(labs)):
-        for p in range(a + 1, len(labs)):
-            if not same[a, p]:
-                continue
-            neg = semi_hard_negative(dist[a], dist[a, p], ~same[a])
-            if neg >= 0:
-                triplets.append((a, p, neg))
-    if not triplets:
-        return None
+    a, p = np.nonzero(np.triu(same, 1))
+    neg = np.empty_like(a)
+    for blk in _row_blocks(a.size, len(labs) * 8):
+        rows = a[blk]
+        neg[blk] = _semi_hard_rows(dist[rows], dist[rows, p[blk]], ~same[rows])
+    triplets = np.stack([a, p, neg], axis=1)[neg >= 0]
     if len(triplets) > cap:
-        rng.shuffle(triplets)
-        triplets = triplets[:cap]
-    return np.array(triplets, dtype=np.intp)
+        # the same draws, and the same order, as shuffling the rows themselves
+        triplets = triplets[rng.permutation(len(triplets))[:cap]]
+    return triplets if len(triplets) else None
 
 
 def embed_in_chunks(items, embed_fn, chunk_size: int) -> np.ndarray:

@@ -95,6 +95,27 @@ class TestTrain:
         assert err.startswith("error[parse]:") and "bad.jsonl:1:" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("case,line", [
+        ("session_list", 3), ("label_list", 3), ("header_class_list", 1),
+    ])
+    def test_list_typed_names_exit_with_one_line(self, workspace, tmp_path, capsys, case, line):
+        lines = workspace["data"].read_text().splitlines()
+        header, rec = json.loads(lines[0]), json.loads(lines[2])
+        if case == "session_list":
+            rec["session"] = [rec["session"]]
+        elif case == "label_list":
+            rec["labels"]["goal"] = [rec["labels"]["goal"]]
+        else:
+            header["classes"]["goal"].append([1])
+        lines[0], lines[2] = json.dumps(header), json.dumps(rec)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["train", "--dataset", str(bad), "--config", str(workspace["cfg"]),
+                     "--out", str(tmp_path / "run")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error[parse]:") and f"bad.jsonl:{line}:" in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("value", [
         {"epochs": "5"}, {"margin": None}, {"epochs": 5.5}, {"seed": 1.5}, {"normalize": "no"},
     ])

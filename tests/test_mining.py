@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mcretrieval import MiningError, RngStream, SamplingError, ValidationError
+from mcretrieval import MiningError, RngStream, SamplingError, ValidationError, mining
 from mcretrieval.mining import (
     MiningEpochPlan,
     batch_hard_triplets,
@@ -21,20 +21,32 @@ class TestPairwiseDistances:
         d = pairwise_distances(np.eye(2))
         np.testing.assert_allclose(d[0, 1], np.sqrt(2.0), atol=1e-15)
 
-    def test_matches_naive_loop(self):
+    def test_matches_naive_loop(self, monkeypatch):
         rng = np.random.default_rng(0)
         e = rng.normal(size=(17, 5))
-        d = pairwise_distances(e, block=4)  # force the blocked path
+        monkeypatch.setattr(mining, "BLOCK_BYTES", 4 * e.size * 8)  # force 4-row blocks
+        d = pairwise_distances(e)
         for i in range(17):
             for j in range(17):
                 assert d[i, j] == pytest.approx(np.linalg.norm(e[i] - e[j]), abs=1e-12)
 
-    def test_exactly_symmetric_zero_diagonal(self):
+    def test_exactly_symmetric_zero_diagonal(self, monkeypatch):
         rng = np.random.default_rng(1)
         e = rng.normal(size=(40, 8))
-        d = pairwise_distances(e, block=7)
+        monkeypatch.setattr(mining, "BLOCK_BYTES", 7 * e.size * 8)  # force 7-row blocks
+        d = pairwise_distances(e)
         assert np.array_equal(d, d.T)
         assert np.all(np.diag(d) == 0.0)
+
+    def test_query_rows_equal_full_matrix_rows(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        e = rng.normal(size=(30, 6))
+        full = pairwise_distances(e)
+        rows = [29, 0, 7, 7, 13]
+        monkeypatch.setattr(mining, "BLOCK_BYTES", 3 * e.size * 8)
+        got = pairwise_distances(e, rows)
+        assert got.shape == (5, 30)
+        assert got.tobytes() == full[rows].tobytes()
 
 
 class TestPkSample:
@@ -181,6 +193,90 @@ def mine_epoch(labels, sessions, embed, plan, rng):
         batch = semi_hard_draw(d, [labels[i] for i in items], plan.triplet_cap, rng)
         if batch is not None:
             yield np.asarray(items, dtype=np.intp)[batch]
+
+
+def loop_batch_hard(d, labels):
+    """The per-anchor loop batch_hard_triplets replaced, over the same distances."""
+    labels = np.asarray(labels)
+    same = labels[:, None] == labels[None, :]
+    eye = np.eye(len(labels), dtype=bool)
+    triplets = []
+    for a in range(len(labels)):
+        pos_mask = same[a] & ~eye[a]
+        if not pos_mask.any():
+            continue
+        pos = int(np.argmax(np.where(pos_mask, d[a], -np.inf)))
+        neg = int(np.argmin(np.where(~same[a], d[a], np.inf)))
+        triplets.append((a, pos, neg))
+    return np.array(triplets, dtype=np.intp)
+
+
+def loop_semi_hard_draw(dist, labels, cap, rng):
+    """The per-pair loop semi_hard_draw replaced: its picks, its order and its shuffle."""
+    labs = np.asarray(labels)
+    same = labs[:, None] == labs[None, :]
+    triplets = []
+    for a in range(len(labs)):
+        neg_idx = np.flatnonzero(~same[a])
+        for p in range(a + 1, len(labs)):
+            if not same[a, p] or neg_idx.size == 0:
+                continue
+            dists = dist[a, neg_idx]
+            beyond = dists > dist[a, p]
+            if beyond.any():
+                pick = np.argmin(np.where(beyond, dists, np.inf))
+            else:
+                pick = np.argmax(dists)
+            triplets.append((a, p, int(neg_idx[pick])))
+    if not triplets:
+        return None
+    if len(triplets) > cap:
+        rng.shuffle(triplets)
+        triplets = triplets[:cap]
+    return np.array(triplets, dtype=np.intp)
+
+
+def tie_heavy_draws(count, seed):
+    """Random item sets with rounded coordinates (many exact distance ties) and 1-6 classes."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 40))
+        labels = rng.integers(0, int(rng.integers(1, 7)), size=n)
+        emb = np.round(rng.normal(size=(n, int(rng.integers(1, 4)))), 1)
+        yield rng, emb, labels
+
+
+class TestVectorisedMinersMatchLoops:
+    def test_semi_hard_draw_matches_pair_loop(self):
+        seen = {"capped": 0, "single_class": 0, "none": 0}
+        for k, (rng, emb, labels) in enumerate(tie_heavy_draws(1200, 41)):
+            d = pairwise_distances(emb)
+            cap = int(rng.integers(1, 80))
+            mine, ref = RngStream(k, 5), RngStream(k, 5)
+            got = semi_hard_draw(d, labels, cap, mine)
+            want = loop_semi_hard_draw(d, labels, cap, ref)
+            if want is None:
+                assert got is None
+                seen["none"] += 1
+            else:
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert mine.uniform() == ref.uniform()  # same stream state afterwards
+            seen["single_class"] += len(set(labels.tolist())) == 1
+            seen["capped"] += want is not None and len(want) == cap
+        assert min(seen.values()) >= 50, seen
+
+    def test_batch_hard_matches_anchor_loop(self):
+        mined = 0
+        for rng, emb, labels in tie_heavy_draws(1400, 43):
+            want = loop_batch_hard(pairwise_distances(emb), labels)
+            if len(set(labels.tolist())) < 2 or not want.size:
+                with pytest.raises(MiningError):
+                    batch_hard_triplets(emb, labels)
+                continue
+            got = batch_hard_triplets(emb, labels)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            mined += 1
+        assert mined >= 1000
 
 
 class TestSemiHardEpoch:
