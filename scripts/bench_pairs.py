@@ -1,15 +1,15 @@
 """Run the benchmark on two checkouts in alternating pairs and write a BENCH_*.json record.
 
-Each pair runs `python3 benchmark/run.py` once in each checkout, one
-after the other, the first of the pair alternating between parent and
-change so that drift on the host falls on both sides alike. The record
-holds every run's end-to-end metrics, their median and quartiles per
-side, how many pairs the change won per metric, failed operation
+Each of the PAIRS pairs runs `python3 benchmark/run.py` once in each
+checkout, one after the other, the first of the pair alternating
+between parent and change so that drift on the host falls on both sides
+alike. Every workload of BENCHMARK.json runs for its `run_seconds`. The
+record holds every run's end-to-end metrics, their median and quartiles
+per side, how many pairs the change won per metric, failed operation
 counts, the machine's numpy and BLAS builds and the two commits.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
-        --parent-commit 7c4b187 --change-commit HEAD --seed 47 --pairs 5 \\
-        --out BENCH_mining.json
+        --parent-commit 7c4b187 --change-commit HEAD --seed 47 --out BENCH_mining.json
 """
 
 import argparse
@@ -22,8 +22,10 @@ from pathlib import Path
 
 import numpy as np
 
-WORKLOADS = ("train-semihard", "train-batchhard", "mc-inference", "gallery")
-BETTER = {"setup_s": "lower", "total_s": "lower", "peak_rss_mb": "lower", "ops_per_s": "higher"}
+# a gain counts only when the change wins at least 9 of 10 alternating pairs
+PAIRS = 10
+BENCHMARK = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+BETTER = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
 
 
 def parse_args(argv):
@@ -33,9 +35,6 @@ def parse_args(argv):
     ap.add_argument("--parent-commit", required=True)
     ap.add_argument("--change-commit", required=True)
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=30.0)
-    ap.add_argument("--pairs", type=int, default=5)
-    ap.add_argument("--workloads", default=",".join(WORKLOADS), help="comma list")
     ap.add_argument("--out", required=True)
     return ap.parse_args(argv)
 
@@ -63,12 +62,13 @@ def blas_build():
 def main(argv=None):
     args = parse_args(argv)
     sides = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
+    seconds = BENCHMARK["run_seconds"]
     record = {
         "command": f"python3 benchmark/run.py --workload <w> --seed {args.seed} "
-                   f"--seconds {args.seconds:g} --trace 0",
+                   f"--seconds {seconds:g} --trace 0",
         "commits": {"parent": args.parent_commit, "change": args.change_commit},
         "seed": args.seed,
-        "pairs": args.pairs,
+        "pairs": PAIRS,
         "order": "alternating; pair i runs the parent first when i is even",
         "clock": "process CPU time (benchmark/run.py)",
         "blas_threads": 1,
@@ -79,12 +79,12 @@ def main(argv=None):
         "blas": blas_build(),
         "workloads": {},
     }
-    for workload in args.workloads.split(","):
+    for workload in (w["name"] for w in BENCHMARK["workloads"]):
         runs = {side: [] for side in sides}
         failed = dict.fromkeys(sides, 0)
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-                metrics, fails = run_once(sides[side], workload, args.seed, args.seconds)
+                metrics, fails = run_once(sides[side], workload, args.seed, seconds)
                 runs[side].append(metrics)
                 failed[side] += fails
                 print(f"{workload} pair {i} {side}: {json.dumps(metrics)}", file=sys.stderr)

@@ -37,8 +37,11 @@ def _require(args, *names):
 
 def _embed(net, dataset, notion, mc, seed, modalities=None):
     """mc=0 means the deterministic no-dropout baseline."""
-    return embed_dataset(net, dataset.items, notion, mc=mc or 1, seed=seed,
-                         mode=STOCHASTIC if mc else DISABLED, modalities=modalities)
+    if mc == 0:
+        return embed_dataset(net, dataset.items, notion, mc=1, seed=seed,
+                             mode=DISABLED, modalities=modalities)
+    return embed_dataset(net, dataset.items, notion, mc=mc, seed=seed,
+                         mode=STOCHASTIC, modalities=modalities)
 
 
 def cmd_synth(args):
@@ -161,7 +164,9 @@ def cmd_uncertainty(args):
 def cmd_ablate(args):
     dataset = read_dataset(args.dataset)
     net = load_checkpoint(args.checkpoint)
-    subsets = [None if raw == "all" else _split_csv(raw) for raw in args.subsets]
+    subsets = []
+    for raw in args.subsets:
+        subsets.append(None if raw == "all" else _split_csv(raw))
     if not subsets:
         raise ValidationError("--subsets must name at least one modality set")
 

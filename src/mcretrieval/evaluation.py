@@ -92,8 +92,10 @@ def evaluate(ids, embeddings, labels, config=None) -> RetrievalReport:
         ap = average_precision(rel)
         per_query.append({"id": ids[q], "class": labels[q], "ap": ap})
         by_class.setdefault(labels[q], []).append(ap)
-        top1_hits += bool(rel[0])
-        top5_hits += any(rel[:5])
+        if rel[0]:
+            top1_hits += 1
+        if any(rel[:5]):
+            top5_hits += 1
 
     n_q = len(per_query)
     class_means = {lab: float(np.mean(aps)) for lab, aps in by_class.items()}

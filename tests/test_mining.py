@@ -246,12 +246,21 @@ def tie_heavy_draws(count, seed):
         yield rng, emb, labels
 
 
+def few_rows_per_block(monkeypatch, rng, n):
+    """Patch BLOCK_BYTES to 1-5 rows of n distances; returns the row count per block."""
+    rows = int(rng.integers(1, 6))
+    monkeypatch.setattr(mining, "BLOCK_BYTES", rows * n * 8)
+    return rows
+
+
 class TestVectorisedMinersMatchLoops:
-    def test_semi_hard_draw_matches_pair_loop(self):
-        seen = {"capped": 0, "single_class": 0, "none": 0}
+    def test_semi_hard_draw_matches_pair_loop(self, monkeypatch):
+        seen = {"capped": 0, "single_class": 0, "none": 0, "many_blocks": 0}
         for k, (rng, emb, labels) in enumerate(tie_heavy_draws(1200, 41)):
             d = pairwise_distances(emb)
             cap = int(rng.integers(1, 80))
+            rows = few_rows_per_block(monkeypatch, rng, len(labels))
+            seen["many_blocks"] += int(np.triu(labels[:, None] == labels, 1).sum()) > rows
             mine, ref = RngStream(k, 5), RngStream(k, 5)
             got = semi_hard_draw(d, labels, cap, mine)
             want = loop_semi_hard_draw(d, labels, cap, ref)
@@ -265,10 +274,11 @@ class TestVectorisedMinersMatchLoops:
             seen["capped"] += want is not None and len(want) == cap
         assert min(seen.values()) >= 50, seen
 
-    def test_batch_hard_matches_anchor_loop(self):
-        mined = 0
+    def test_batch_hard_matches_anchor_loop(self, monkeypatch):
+        mined = many_blocks = 0
         for rng, emb, labels in tie_heavy_draws(1400, 43):
             want = loop_batch_hard(pairwise_distances(emb), labels)
+            rows = few_rows_per_block(monkeypatch, rng, len(labels))
             if len(set(labels.tolist())) < 2 or not want.size:
                 with pytest.raises(MiningError):
                     batch_hard_triplets(emb, labels)
@@ -276,7 +286,8 @@ class TestVectorisedMinersMatchLoops:
             got = batch_hard_triplets(emb, labels)
             assert got.dtype == want.dtype and np.array_equal(got, want)
             mined += 1
-        assert mined >= 1000
+            many_blocks += len(want) > rows
+        assert mined >= 1000 and many_blocks >= 900, (mined, many_blocks)
 
 
 class TestSemiHardEpoch:
