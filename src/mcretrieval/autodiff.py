@@ -71,7 +71,7 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None:
-                node._backward()
+                node._backward(node)
 
     # operator sugar
     def __add__(self, other):
@@ -125,12 +125,14 @@ def _accum(t: Tensor, g: np.ndarray):
     t.grad += g
 
 
-def _node(data, parents, make_backward) -> Tensor:
+def _node(data, parents, backward) -> Tensor:
+    # backward(out) is handed its node rather than closing over it, so a
+    # graph holds no reference cycle and refcounting frees it
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
-        out._backward = make_backward(out)
+        out._backward = backward
     return out
 
 
@@ -148,30 +150,26 @@ def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     data = a.data + b.data
 
-    def make_backward(out):
-        def backward():
-            if a.requires_grad:
-                _accum(a, _unbroadcast(out.grad, a.data.shape))
-            if b.requires_grad:
-                _accum(b, _unbroadcast(out.grad, b.data.shape))
-        return backward
+    def backward(out):
+        if a.requires_grad:
+            _accum(a, _unbroadcast(out.grad, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(out.grad, b.data.shape))
 
-    return _node(data, (a, b), make_backward)
+    return _node(data, (a, b), backward)
 
 
 def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     data = a.data * b.data
 
-    def make_backward(out):
-        def backward():
-            if a.requires_grad:
-                _accum(a, _unbroadcast(out.grad * b.data, a.data.shape))
-            if b.requires_grad:
-                _accum(b, _unbroadcast(out.grad * a.data, b.data.shape))
-        return backward
+    def backward(out):
+        if a.requires_grad:
+            _accum(a, _unbroadcast(out.grad * b.data, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(out.grad * a.data, b.data.shape))
 
-    return _node(data, (a, b), make_backward)
+    return _node(data, (a, b), backward)
 
 
 def matmul(a, b) -> Tensor:
@@ -184,53 +182,45 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul inner dims differ: {a.data.shape} @ {b.data.shape}")
     data = a.data @ b.data
 
-    def make_backward(out):
-        def backward():
-            g = out.grad
-            if a.requires_grad:
-                _accum(a, g @ b.data.T)
-            if b.requires_grad:
-                _accum(b, np.outer(a.data, g) if a.data.ndim == 1 else a.data.T @ g)
-        return backward
+    def backward(out):
+        g = out.grad
+        if a.requires_grad:
+            _accum(a, g @ b.data.T)
+        if b.requires_grad:
+            _accum(b, np.outer(a.data, g) if a.data.ndim == 1 else a.data.T @ g)
 
-    return _node(data, (a, b), make_backward)
+    return _node(data, (a, b), backward)
 
 
 def tanh(x) -> Tensor:
     x = _wrap(x)
     data = np.tanh(x.data)
 
-    def make_backward(out):
-        def backward():
-            _accum(x, out.grad * (1.0 - out.data * out.data))
-        return backward
+    def backward(out):
+        _accum(x, out.grad * (1.0 - out.data * out.data))
 
-    return _node(data, (x,), make_backward)
+    return _node(data, (x,), backward)
 
 
 def relu(x) -> Tensor:
     x = _wrap(x)
     data = np.maximum(x.data, 0.0)
 
-    def make_backward(out):
-        def backward():
-            # subgradient at 0 is 0
-            _accum(x, out.grad * (x.data > 0.0))
-        return backward
+    def backward(out):
+        # subgradient at 0 is 0
+        _accum(x, out.grad * (x.data > 0.0))
 
-    return _node(data, (x,), make_backward)
+    return _node(data, (x,), backward)
 
 
 def tsum(x) -> Tensor:
     x = _wrap(x)
     data = np.sum(x.data)
 
-    def make_backward(out):
-        def backward():
-            _accum(x, np.broadcast_to(out.grad, x.data.shape).copy())
-        return backward
+    def backward(out):
+        _accum(x, np.broadcast_to(out.grad, x.data.shape).copy())
 
-    return _node(data, (x,), make_backward)
+    return _node(data, (x,), backward)
 
 
 def tmean(x) -> Tensor:
@@ -238,24 +228,20 @@ def tmean(x) -> Tensor:
     n = x.data.size
     data = np.sum(x.data) / n
 
-    def make_backward(out):
-        def backward():
-            _accum(x, np.broadcast_to(out.grad / n, x.data.shape).copy())
-        return backward
+    def backward(out):
+        _accum(x, np.broadcast_to(out.grad / n, x.data.shape).copy())
 
-    return _node(data, (x,), make_backward)
+    return _node(data, (x,), backward)
 
 
 def reshape(x, shape) -> Tensor:
     x = _wrap(x)
     data = x.data.reshape(shape)
 
-    def make_backward(out):
-        def backward():
-            _accum(x, out.grad.reshape(x.data.shape))
-        return backward
+    def backward(out):
+        _accum(x, out.grad.reshape(x.data.shape))
 
-    return _node(data, (x,), make_backward)
+    return _node(data, (x,), backward)
 
 
 def gather_rows(x, idx) -> Tensor:
@@ -266,14 +252,12 @@ def gather_rows(x, idx) -> Tensor:
         raise ShapeError(f"gather_rows expects a 2-d tensor, got {x.data.shape}")
     data = x.data[idx]
 
-    def make_backward(out):
-        def backward():
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            np.add.at(x.grad, idx, out.grad)
-        return backward
+    def backward(out):
+        if x.grad is None:
+            x.grad = np.zeros_like(x.data)
+        np.add.at(x.grad, idx, out.grad)
 
-    return _node(data, (x,), make_backward)
+    return _node(data, (x,), backward)
 
 
 def rownorm(x) -> Tensor:
@@ -283,13 +267,11 @@ def rownorm(x) -> Tensor:
         raise ShapeError(f"rownorm expects a 2-d tensor, got {x.data.shape}")
     data = np.sqrt(np.sum(x.data * x.data, axis=1))
 
-    def make_backward(out):
-        def backward():
-            safe = np.where(out.data > 0.0, out.data, 1.0)
-            _accum(x, (out.grad * (out.data > 0.0) / safe)[:, None] * x.data)
-        return backward
+    def backward(out):
+        safe = np.where(out.data > 0.0, out.data, 1.0)
+        _accum(x, (out.grad * (out.data > 0.0) / safe)[:, None] * x.data)
 
-    return _node(data, (x,), make_backward)
+    return _node(data, (x,), backward)
 
 
 def l2_normalize(x, eps: float = 1e-12) -> Tensor:
@@ -305,15 +287,13 @@ def l2_normalize(x, eps: float = 1e-12) -> Tensor:
     denom = np.maximum(n, eps)
     data = x.data / denom
 
-    def make_backward(out):
-        def backward():
-            g = out.grad
-            dot = np.sum(g * out.data, axis=-1, keepdims=True)
-            active = n > eps
-            _accum(x, np.where(active, (g - out.data * dot) / denom, g / denom))
-        return backward
+    def backward(out):
+        g = out.grad
+        dot = np.sum(g * out.data, axis=-1, keepdims=True)
+        active = n > eps
+        _accum(x, np.where(active, (g - out.data * dot) / denom, g / denom))
 
-    return _node(data, (x,), make_backward)
+    return _node(data, (x,), backward)
 
 
 DISABLED = "disabled"
@@ -349,12 +329,10 @@ def dropout_apply(x, spec: DropoutSpec, rng: RngStream = None) -> Tensor:
     scale = keep / (1.0 - spec.rate)
     data = x.data * scale
 
-    def make_backward(out):
-        def backward():
-            _accum(x, out.grad * scale)
-        return backward
+    def backward(out):
+        _accum(x, out.grad * scale)
 
-    return _node(data, (x,), make_backward)
+    return _node(data, (x,), backward)
 
 
 def dense_forward(x, weight, bias) -> Tensor:

@@ -9,6 +9,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .autodiff import DISABLED, STOCHASTIC
 from .config import RunConfig, load_config
 from .data import PRESETS, preset_args, read_dataset, synth_generate, write_dataset
@@ -259,7 +261,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "out_required", False):
             _require(args, "out")
-        return args.func(args)
+        with np.errstate(all="ignore"):  # a non-finite result ends in one error line, not warnings
+            return args.func(args)
     except ParseError as e:
         print(f"error[parse]: {e}", file=sys.stderr)
         return 3

@@ -39,6 +39,12 @@ def pairwise_distances(embeddings, rows=None) -> np.ndarray:
     return out
 
 
+def _label_codes(labels) -> np.ndarray:
+    """Integer class codes under Python equality, the classes evaluate and pk_sample see."""
+    codes = {}
+    return np.array([codes.setdefault(lab, len(codes)) for lab in labels], dtype=np.intp)
+
+
 @dataclass
 class PkBatch:
     """Indices for a P-class, K-items-per-class batch."""
@@ -80,12 +86,12 @@ def batch_hard_triplets(embeddings, labels) -> np.ndarray:
     Anchors whose label has no second item are skipped; a batch with no
     usable anchor or with a single class cannot be mined.
     """
-    labels = np.asarray(labels)
+    labels = _label_codes(labels)
     d = pairwise_distances(embeddings)
     n = d.shape[0]
     if labels.shape != (n,):
         raise ShapeError(f"labels length {labels.shape} does not match {n} embeddings")
-    if len(set(labels.tolist())) < 2:
+    if not labels.any():  # every label got the first code
         raise MiningError("batch-hard mining needs at least two classes in the batch")
     pos_mask = labels[:, None] == labels[None, :]
     np.fill_diagonal(pos_mask, False)
@@ -165,7 +171,7 @@ def semi_hard_draw(dist, labels, cap: int, rng: RngStream):
     semi_hard_negative rule, then keeps a random cap of them in random
     order. Returns None when no pair has a usable negative.
     """
-    labs = np.asarray(labels)
+    labs = _label_codes(labels)
     same = labs[:, None] == labs[None, :]
     a, p = np.nonzero(np.triu(same, 1))
     neg = np.empty_like(a)

@@ -9,6 +9,7 @@ the hidden-to-hidden path of the recurrence carries none.
 
 import functools
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,9 +121,7 @@ class ConditionalNet:
         self._build(RngStream(seed, 0) if _init else None)
 
     def _add(self, name, shape, rng, fan_in=None):
-        if rng is None:
-            data = np.zeros(shape)
-        elif fan_in is None:
+        if rng is None or fan_in is None:
             data = np.zeros(shape)
         else:
             data = rng.normal(shape) / np.sqrt(fan_in)
@@ -327,10 +326,12 @@ class ConditionalNet:
 
 
 def save_checkpoint(net: ConditionalNet, path):
-    """Write a self-describing checkpoint; identical nets produce identical bytes."""
-    with open(path, "w") as f:
-        f.write(json.dumps(net.to_checkpoint(), sort_keys=True, separators=(",", ":")))
-        f.write("\n")
+    """Write a self-describing checkpoint atomically; identical nets produce identical bytes."""
+    text = json.dumps(net.to_checkpoint(), sort_keys=True, separators=(",", ":")) + "\n"
+    tmp = f"{path}.tmp"
+    with open(tmp, "w") as f:
+        f.write(text)
+    os.replace(tmp, path)
 
 
 def load_checkpoint(path) -> ConditionalNet:

@@ -49,9 +49,6 @@ class RngStream:
     def normal(self, shape=None, scale: float = 1.0) -> np.ndarray:
         return self._gen.normal(0.0, scale, size=shape)
 
-    def integers(self, low, high=None, size=None) -> np.ndarray:
-        return self._gen.integers(low, high=high, size=size)
-
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 

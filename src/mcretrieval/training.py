@@ -7,6 +7,7 @@ embeddings are computed with dropout disabled; the gradient step itself
 runs stochastic forwards.
 """
 
+import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,7 +18,7 @@ from . import autodiff
 from .autodiff import DISABLED, STOCHASTIC, DropoutSpec
 from .config import RunConfig, SOFT_MARGIN, TRIPLET
 from .data import DatasetFile
-from .errors import ValidationError
+from .errors import DivergenceError, ValidationError
 from .losses import batch_objective, mask_penalty, triplet_batch_term
 from .mining import (
     MiningEpochPlan,
@@ -67,6 +68,8 @@ def _descend(net, opt, emb, local_triplets, cfg, lr):
     obj = batch_objective(losses, net.weight_matrices(), cfg.weight_decay)
     if cfg.mask_l1 > 0:
         obj = obj + mask_penalty(net.mask_parameters(), cfg.mask_l1)
+    if not np.isfinite(obj.data):
+        raise DivergenceError(f"non-finite training loss {float(obj.data)}")
     opt.zero_grad()
     obj.backward()
     opt.step(lr=lr)
@@ -77,9 +80,10 @@ def train(dataset: DatasetFile, cfg: RunConfig, out_dir=None, notions=None) -> T
     """Run the full mining + optimization loop and return the trained net.
 
     notions restricts training (and the net's masks) to a subset, e.g.
-    a specialized single-notion model. With out_dir set, the checkpoint
-    is rewritten after every epoch and a history file at the end. Fixed
-    seed, fixed dataset: identical checkpoints across runs.
+    a specialized single-notion model. With out_dir set, checkpoint.json
+    and history.json are written once, after the last epoch; the checkpoint
+    is written atomically. Fixed seed, fixed dataset: identical checkpoints
+    across runs.
     """
     dataset.validate()
     if len(dataset.items) < 2:
@@ -142,7 +146,6 @@ def train(dataset: DatasetFile, cfg: RunConfig, out_dir=None, notions=None) -> T
                 emb = net.forward_batch(payloads, notion, DropoutSpec(cfg.dropout, STOCHASTIC),
                                         drop_rng_root.substream(step))
                 losses.append(_descend(net, opt, emb, local.reshape(-1, 3), cfg, lr))
-                del emb  # let the collector free this step's graph before the next draw's forward
                 triplet_count += len(triplets)
                 step += 1
         history.append({
@@ -152,11 +155,8 @@ def train(dataset: DatasetFile, cfg: RunConfig, out_dir=None, notions=None) -> T
             "triplets": triplet_count,
             "mean_loss": float(np.mean(losses)) if losses else float("nan"),
         })
-        if out_dir is not None:
-            save_checkpoint(net, out_dir / "checkpoint.json")
     if out_dir is not None:
-        import json
-
+        save_checkpoint(net, out_dir / "checkpoint.json")
         with open(out_dir / "history.json", "w") as f:
             json.dump({"config": cfg.to_dict(), "epochs": history}, f,
                       sort_keys=True, separators=(",", ":"))

@@ -119,12 +119,6 @@ def embed_dataset(net, items, notion: str, mc: int, seed: int, mode: str = STOCH
     return ids, means, variances
 
 
-def scalar_uncertainty(variance) -> float:
-    """Mean over dimensions of the per-dimension variance."""
-    variance = getattr(variance, "variance", variance)
-    return float(np.mean(np.asarray(variance)))
-
-
 def per_class_uncertainty(variances, labels):
     """Average scalar uncertainty per class, raw and size-normalized.
 

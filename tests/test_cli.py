@@ -1,6 +1,7 @@
 """Command-line pipeline: every subcommand, happy path and exit codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +81,17 @@ class TestTrain:
                      "--config", str(cfg), "--out", str(tmp_path / "run")])
         assert code == 4
         assert capsys.readouterr().err.startswith("error[runtime]:")
+
+    def test_divergence_exits_with_one_line(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "hot.json"
+        cfg.write_text(json.dumps({**FAST_CFG, "lr": 1e300}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would be a second stderr line
+            code = main(["train", "--dataset", str(workspace["data"]),
+                         "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error[runtime]: non-finite training loss") and err.count("\n") == 1
 
     @pytest.mark.parametrize("header", [
         {"notions": 5}, {"classes": [1]}, {"classes": {"goal": 5, "stimulus": ["stimulus0"]}},

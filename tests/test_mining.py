@@ -290,6 +290,24 @@ class TestVectorisedMinersMatchLoops:
         assert mined >= 1000 and many_blocks >= 900, (mined, many_blocks)
 
 
+class TestMixedTypeLabels:
+    # "1" and 1 are two classes to the dataset reader, evaluate and pk_sample
+    labels = ["1", "1", 1, 1, "2", 2]
+    emb = np.array([[0.0], [0.1], [5.0], [5.1], [10.0], [10.1]])
+
+    def assert_same_class_positives(self, triplets):
+        assert len(triplets)
+        for a, p, n in triplets:
+            assert self.labels[a] == self.labels[p] != self.labels[n]
+
+    def test_semi_hard_draw(self):
+        d = pairwise_distances(self.emb)
+        self.assert_same_class_positives(semi_hard_draw(d, self.labels, 100, RngStream(0, 1)))
+
+    def test_batch_hard(self):
+        self.assert_same_class_positives(batch_hard_triplets(self.emb, self.labels))
+
+
 class TestSemiHardEpoch:
     def setup_method(self):
         rng = np.random.default_rng(7)

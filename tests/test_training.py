@@ -1,17 +1,29 @@
 """End-to-end training loop behavior on small synthetic datasets."""
 
+import gc
 import logging
 
 import numpy as np
 import pytest
 
-from mcretrieval import DISABLED, DropoutSpec, ValidationError, training
+from mcretrieval import (
+    DISABLED,
+    STOCHASTIC,
+    Adam,
+    DivergenceError,
+    DropoutSpec,
+    RngStream,
+    Tensor,
+    ValidationError,
+    model,
+    training,
+)
 from mcretrieval.config import RunConfig
 from mcretrieval.data import ModalityFormat, synth_generate
 from mcretrieval.evaluation import evaluate
 from mcretrieval.mining import semi_hard_draw
 from mcretrieval.model import load_checkpoint
-from mcretrieval.training import build_net, train
+from mcretrieval.training import _descend, build_net, train
 from mcretrieval.uncertainty import embed_dataset
 
 
@@ -107,6 +119,18 @@ class TestSemiHardLoop:
         for name, p in result.net.params.items():
             assert np.array_equal(loaded.params[name].data, p.data)
 
+    def test_checkpoint_written_once_without_temp_file(self, tmp_path, monkeypatch):
+        saved = []
+
+        def save(net, path):
+            saved.append(path)
+            return model.save_checkpoint(net, path)
+
+        monkeypatch.setattr(training, "save_checkpoint", save)
+        train(easy_dataset(), small_cfg(epochs=3), out_dir=tmp_path)
+        assert saved == [tmp_path / "checkpoint.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.json", "history.json"]
+
     def test_sessionless_dataset_trains(self):
         ds = easy_dataset(sessions=0)
         result = train(ds, small_cfg(epochs=2))
@@ -133,6 +157,36 @@ class TestSemiHardLoop:
             logger.removeHandler(handler)
         assert len(records) == 1 and records[0].levelno == logging.WARNING
         assert sum(h["steps"] for h in result.history) + 1 == len(calls)
+
+
+class TestDescend:
+    def setup_method(self):
+        self.ds = easy_dataset()
+        self.cfg = small_cfg()
+        self.net = build_net(self.ds, self.cfg)
+        self.opt = Adam(self.net.parameters(), lr=self.cfg.lr)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_loss_raises_before_any_update(self):
+        before = {name: p.data.copy() for name, p in self.net.params.items()}
+        emb = Tensor(np.full((3, self.cfg.embed_dim), np.inf), requires_grad=True)
+        with pytest.raises(DivergenceError, match="non-finite training loss"):
+            _descend(self.net, self.opt, emb, np.array([[0, 1, 2]]), self.cfg, self.cfg.lr)
+        for name, p in self.net.params.items():
+            assert np.array_equal(p.data, before[name]), name
+
+    def test_step_graph_freed_without_cycle_collector(self):
+        payloads = [it.payloads for it in self.ds.items[:6]]
+        spec = DropoutSpec(self.cfg.dropout, STOCHASTIC)
+        gc.collect()
+        gc.disable()
+        try:
+            emb = self.net.forward_batch(payloads, "goal", spec, RngStream(1, 2))
+            _descend(self.net, self.opt, emb, np.array([[0, 1, 2], [3, 4, 5]]), self.cfg, self.cfg.lr)
+            del emb
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestBatchHardLoop:

@@ -17,7 +17,6 @@ from mcretrieval.uncertainty import (
     mc_embed,
     per_class_uncertainty,
     read_embeddings,
-    scalar_uncertainty,
     write_embeddings,
 )
 
@@ -252,10 +251,6 @@ class TestBatchedPasses:
 
 
 class TestSummaries:
-    def test_scalar_uncertainty_is_mean_variance(self):
-        v = np.array([0.0, 0.2, 0.4])
-        assert scalar_uncertainty(v) == pytest.approx(0.2)
-
     def test_per_class_rows(self):
         variances = np.array([[0.2, 0.4], [0.4, 0.6], [1.0, 3.0]])
         rows = per_class_uncertainty(variances, ["a", "a", "b"])
