@@ -39,6 +39,8 @@ def _require(args, *names):
 
 def _embed(net, dataset, notion, mc, seed, modalities=None):
     """mc=0 means the deterministic no-dropout baseline."""
+    if mc < 0:
+        raise ValidationError(f"--mc must be >= 0, got {mc}")
     if mc == 0:
         return embed_dataset(net, dataset.items, notion, mc=1, seed=seed,
                              mode=DISABLED, modalities=modalities)
@@ -120,7 +122,10 @@ def cmd_eval(args):
 def cmd_sweep(args):
     dataset = read_dataset(args.dataset)
     net = load_checkpoint(args.checkpoint)
-    mc_values = [int(v) for v in _split_csv(args.mc_list) or []]
+    try:
+        mc_values = [int(v) for v in _split_csv(args.mc_list) or []]
+    except ValueError:
+        raise ValidationError(f"--mc-list must be a comma list of integers, got {args.mc_list!r}") from None
     if not mc_values:
         raise ValidationError("--mc-list must name at least one mc value")
 

@@ -71,20 +71,24 @@ class ModalitySpec:
         }
 
 
-def sample_frame_indices(length: int, n: int, spec: DropoutSpec, rng: RngStream) -> np.ndarray:
-    """Frame picks for one pass, ascending.
+def sample_frame_indices(length, n: int, spec: DropoutSpec, rng):
+    """Frame picks for one pass, ascending: [n] for one sequence length, one row per length for a list.
 
     Stochastic mode draws uniformly (without replacement when the
-    sequence is long enough); Disabled mode is rng-free and picks evenly
-    spaced frames so deterministic passes stay bit-reproducible. A zero
-    dropout rate makes Stochastic a no-op, so it falls back to the same
-    deterministic grid and the whole forward collapses to the baseline.
+    sequence is long enough) with one rng.frame_picks call; Disabled
+    mode is rng-free and picks evenly spaced frames so deterministic
+    passes stay bit-reproducible. A zero dropout rate makes Stochastic
+    a no-op, so it falls back to the same deterministic grid and the
+    whole forward collapses to the baseline.
     """
-    if length < 1:
+    lengths = np.atleast_1d(length)
+    if lengths.min() < 1:
         raise ValidationError("empty sequence payload")
     if not spec.stochastic or spec.rate == 0.0:
-        return _frame_grid(length, n)
-    return np.sort(rng.choice(length, size=n, replace=length < n)).astype(np.intp)
+        picks = [_frame_grid(int(t), n) for t in lengths]
+    else:
+        picks = rng.frame_picks(lengths, n)
+    return picks if np.ndim(length) else picks[0]
 
 
 @functools.lru_cache(maxsize=4096)
@@ -237,9 +241,10 @@ class ConditionalNet:
         """Embed a batch of items sharing the same available modalities.
 
         Stacks payloads per time step. rng is the mask source: a single
-        RngStream draws every mask for the whole batch, while RowStreams
-        gives row r its masks and frame picks from stream r, exactly as
-        a batch of one on that stream would draw them.
+        RngStream draws every mask and frame pick for the whole batch,
+        row after row, while RowStreams gives row r its masks and frame
+        picks from stream r, exactly as a batch of one on that stream
+        would draw them.
         """
         if not payload_list:
             raise ValidationError("empty batch")
@@ -255,15 +260,14 @@ class ConditionalNet:
                     raise ShapeError(f"modality {name} expects [{m.input_dim}] payloads")
                 embs.append(self._encode_vector(m, Tensor(x), spec, rng))
             else:
-                picked = []
-                for r, p in enumerate(payload_list):
-                    seq = np.asarray(p[name], dtype=np.float64)
-                    if seq.ndim != 2 or seq.shape[1] != m.input_dim:
-                        raise ShapeError(f"modality {name} expects [T, {m.input_dim}] payloads")
-                    row_rng = None if rng is None else rng.row(r)
-                    idx = sample_frame_indices(seq.shape[0], m.samples, spec, row_rng)
-                    picked.append(seq[idx])
-                stacked = np.array(picked)  # [B, samples, input_dim]
+                seqs = [np.asarray(p[name], dtype=np.float64) for p in payload_list]
+                if any(seq.ndim != 2 or seq.shape[1] != m.input_dim for seq in seqs):
+                    raise ShapeError(f"modality {name} expects [T, {m.input_dim}] payloads")
+                lengths = [len(seq) for seq in seqs]
+                picks = sample_frame_indices(lengths, m.samples, spec, rng)
+                # row r's picks index its own sequence inside the concatenation
+                starts = np.cumsum([0] + lengths[:-1])
+                stacked = np.concatenate(seqs)[starts[:, None] + np.asarray(picks)]  # [B, samples, input_dim]
                 frames = [Tensor(stacked[:, t, :]) for t in range(m.samples)]
                 embs.append(self._encode_sequence(m, frames, spec, rng))
         return self.apply_mask(self.fuse(embs), notion)

@@ -14,7 +14,7 @@ import numpy as np
 from . import autodiff
 from .autodiff import STOCHASTIC, DropoutSpec
 from .errors import ParseError, ValidationError
-from .rng import RngStream, RowStreams
+from .rng import RowStreams
 
 
 @dataclass
@@ -61,8 +61,10 @@ def mc_embed(net, payloads, notion: str, mc: int, seed: int,
 # appends passes; sweep points then share their earlier draws
 ITEM_STREAM_STRIDE = 1 << 20
 
-# rows (item x pass) per batched forward; bounds the memory of one call
-CHUNK_ROWS = 2048
+# rows (item x pass) per batched forward, or one item's mc rows when mc
+# is larger, since an item's passes are never split; this bounds a
+# forward's temporaries, and RowStreams' word buffer (rng.RNG_BYTES)
+CHUNK_ROWS = 1024
 
 
 def embed_dataset(net, items, notion: str, mc: int, seed: int, mode: str = STOCHASTIC,
@@ -70,11 +72,13 @@ def embed_dataset(net, items, notion: str, mc: int, seed: int, mode: str = STOCH
     """Embed every item with mc dropout passes; item i draws from the block seed + i*ITEM_STREAM_STRIDE.
 
     items are (id, payloads) pairs or objects with .id and .payloads.
-    Items carrying the same modalities run together, whole items at a
-    time, CHUNK_ROWS rows per no-grad forward. Pass j of item i is one
-    row with its own stream RngStream(b, b + j), b = seed + i*ITEM_STREAM_STRIDE,
-    so each pass draws what it would draw alone; Disabled mode runs one
-    row per item and no streams. Returns (ids, means [n, d], variances [n, d]).
+    modalities, if given, names the modalities to use; every name must be
+    one the net encodes. Items carrying the same modalities run together,
+    whole items at a time, at most max(mc, CHUNK_ROWS) rows per no-grad
+    forward. Pass j of item i is one row whose stream is keyed (b, b + j),
+    b = seed + i*ITEM_STREAM_STRIDE, as RngStream(b, b + j) is, so each
+    pass draws what it would draw alone; Disabled mode runs one row per
+    item and no streams. Returns (ids, means [n, d], variances [n, d]).
     """
     if mc < 1:
         raise ValidationError(f"mc must be >= 1, got {mc}")
@@ -83,6 +87,10 @@ def embed_dataset(net, items, notion: str, mc: int, seed: int, mode: str = STOCH
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     spec = DropoutSpec(net.dropout_rate, mode)
+    unknown = sorted(set(modalities or ()) - {m.name for m in net.modalities})
+    if unknown:
+        # a misspelt name must not quietly leave its modality out
+        raise ValidationError(f"unknown modalities {unknown}; have {[m.name for m in net.modalities]}")
     ids, payload_list, groups = [], [], {}
     for i, item in enumerate(items):
         item_id, payloads = (item if isinstance(item, tuple) else (item.id, item.payloads))
@@ -107,8 +115,9 @@ def embed_dataset(net, items, notion: str, mc: int, seed: int, mode: str = STOCH
                 batch = [payload_list[i] for i in chunk for _ in range(passes)]
                 rng = None
                 if spec.stochastic:
+                    # the key of RngStream(b, b + j), which takes both modulo 2**64
                     blocks = [seed + i * ITEM_STREAM_STRIDE for i in chunk]
-                    rng = RowStreams(RngStream(b, b + j) for b in blocks for j in range(mc))
+                    rng = RowStreams([(b % 2**64, (b + j) % 2**64) for b in blocks for j in range(mc)])
                 out = net.forward_batch(batch, notion, spec, rng).data
                 for i, rows in zip(chunk, out.reshape(len(chunk), passes, -1)):
                     agg = aggregate_passes(rows)

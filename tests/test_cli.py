@@ -263,6 +263,31 @@ class TestEvalSweepUncertaintyAblate:
                      "--notion", "goal", "--mc", "1"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv,flag,says", [
+        (["sweep", "--mc-list", "1,x"], "--mc-list", "integers"),
+        (["eval", "--mc", "-2"], "--mc", "must be >= 0"),
+        (["embed", "--mc", "-1", "--out", "unused.json"], "--mc", "must be >= 0"),
+    ])
+    def test_bad_mc_names_its_flag(self, workspace, capsys, argv, flag, says):
+        code = main([argv[0], "--dataset", str(workspace["data"]),
+                     "--checkpoint", str(workspace["ckpt"]), "--notion", "goal", *argv[1:]])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[validation]:") and err.count("\n") == 1
+        assert flag in err and says in err
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--mc", "0", "--modalities", "vec,vce"],
+        ["ablate", "--mc", "0", "--subsets", "all", "seq,sqe"],
+    ])
+    def test_unknown_modality_name_rejected(self, workspace, capsys, argv):
+        code = main([argv[0], "--dataset", str(workspace["data"]),
+                     "--checkpoint", str(workspace["ckpt"]), "--notion", "goal", *argv[1:]])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[validation]:") and err.count("\n") == 1
+        assert "unknown modalities" in err and ("vce" in err or "sqe" in err)
+
     def test_ablate_rows(self, workspace, capsys):
         out = workspace["root"] / "ablate.json"
         code = main(["ablate", "--dataset", str(workspace["data"]),

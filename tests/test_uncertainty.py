@@ -233,10 +233,20 @@ class TestBatchedPasses:
         assert not sto_var.any()
         # with more passes every row is still the deterministic forward
         batch = [p for _, p in items for _ in range(3)]
-        streams = RowStreams(RngStream(6, 6 + j) for j in range(len(batch)))
+        streams = RowStreams([(6, 6 + j) for j in range(len(batch))])
         rows = net.forward_batch(batch, "goal", DropoutSpec(0.0, STOCHASTIC), streams).data
         base = net.forward_batch(batch, "goal", DropoutSpec(0.0, DISABLED)).data
         assert np.array_equal(rows, base)
+
+    def test_requested_modalities_must_be_known(self):
+        net = small_net()
+        p = payloads(np.random.default_rng(17))
+        items = [("a", p), ("b", {"vec": p["vec"]})]
+        # an item may lack a requested modality that the net encodes
+        _, means, _ = embed_dataset(net, items, "goal", mc=2, seed=0, modalities=["vec", "seq"])
+        assert np.array_equal(means, embed_dataset(net, items, "goal", mc=2, seed=0)[1])
+        with pytest.raises(ValidationError, match="cmaera"):
+            embed_dataset(net, items, "goal", mc=2, seed=0, modalities=["vec", "cmaera"])
 
     def test_checks_moved_from_mc_embed(self):
         net = small_net()
