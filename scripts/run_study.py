@@ -69,11 +69,10 @@ def run_seed(args, seed, mc_grid, out_dir):
     for notion in ds.notions:
         labels = [it.labels[notion] for it in te.items]
 
-        def embed_fn(mc, eseed, stochastic, _notion=notion):
-            return embed_dataset(joint, items, _notion, mc, eseed,
-                                 "stochastic" if stochastic else "disabled")
+        def embed_fn(mc, _notion=notion):
+            return embed_dataset(joint, items, _notion, mc, args.eval_seed)
 
-        rows = mc_sweep(embed_fn, mc_grid, labels, base_seed=args.eval_seed)
+        rows = mc_sweep(embed_fn, mc_grid, labels)
         write_report(out_dir / f"sweep_{notion}.json", rows)
         _, _, variances = embed_dataset(joint, items, notion, max(mc_grid),
                                         args.eval_seed)

@@ -11,7 +11,6 @@ import sys
 
 import numpy as np
 
-from .autodiff import DISABLED, STOCHASTIC
 from .config import RunConfig, load_config
 from .data import PRESETS, preset_args, read_dataset, synth_generate, write_dataset
 from .errors import McRetrievalError, ParseError, ValidationError
@@ -37,20 +36,11 @@ def _require(args, *names):
             raise ValidationError(f"--{name.replace('_', '-')} is required")
 
 
-def _embed(net, dataset, notion, mc, seed, modalities=None):
-    """mc=0 means the deterministic no-dropout baseline."""
-    if mc < 0:
-        raise ValidationError(f"--mc must be >= 0, got {mc}")
-    if mc == 0:
-        return embed_dataset(net, dataset.items, notion, mc=1, seed=seed,
-                             mode=DISABLED, modalities=modalities)
-    return embed_dataset(net, dataset.items, notion, mc=mc, seed=seed,
-                         mode=STOCHASTIC, modalities=modalities)
-
-
 def cmd_synth(args):
     spec = preset_args(args.preset)
     if args.sessions is not None:
+        if args.sessions < 0:
+            raise ValidationError(f"--sessions must be >= 0, got {args.sessions}")
         spec["sessions"] = args.sessions
     if args.tail is not None:
         spec["tail"] = args.tail
@@ -74,8 +64,8 @@ def cmd_train(args):
 def cmd_embed(args):
     dataset = read_dataset(args.dataset)
     net = load_checkpoint(args.checkpoint)
-    ids, means, variances = _embed(net, dataset, args.notion, args.mc, args.seed,
-                                   _split_csv(args.modalities))
+    ids, means, variances = embed_dataset(net, dataset.items, args.notion, args.mc, args.seed,
+                                          _split_csv(args.modalities))
     write_embeddings(args.out, ids, means, variances, args.notion, args.mc)
     print(f"embedded {len(ids)} items (notion={args.notion}, mc={args.mc}) to {args.out}")
     return 0
@@ -106,7 +96,7 @@ def cmd_eval(args):
     dataset = read_dataset(args.dataset)
     net = load_checkpoint(args.checkpoint)
     modalities = _split_csv(args.modalities)
-    ids, means, _ = _embed(net, dataset, args.notion, args.mc, args.seed, modalities)
+    ids, means, _ = embed_dataset(net, dataset.items, args.notion, args.mc, args.seed, modalities)
     report = evaluate(ids, means, dataset.labels_for(args.notion), config={
         "notion": args.notion, "mc": args.mc, "seed": args.seed,
         "modalities": modalities or "all",
@@ -129,11 +119,10 @@ def cmd_sweep(args):
     if not mc_values:
         raise ValidationError("--mc-list must name at least one mc value")
 
-    def embed_fn(mc, seed, stochastic):
-        return _embed(net, dataset, args.notion, mc if stochastic else 0, seed)
+    def embed_fn(mc):
+        return embed_dataset(net, dataset.items, args.notion, mc, args.seed)
 
-    rows = mc_sweep(embed_fn, mc_values, dataset.labels_for(args.notion),
-                    base_seed=args.seed)
+    rows = mc_sweep(embed_fn, mc_values, dataset.labels_for(args.notion))
     if args.out:
         write_report(args.out, rows)
     for r in rows:
@@ -147,7 +136,7 @@ def cmd_uncertainty(args):
     net = load_checkpoint(args.checkpoint)
     if args.mc < 2:
         raise ValidationError("uncertainty needs --mc >= 2 stochastic passes")
-    ids, _, variances = _embed(net, dataset, args.notion, args.mc, args.seed)
+    ids, _, variances = embed_dataset(net, dataset.items, args.notion, args.mc, args.seed)
     labels = dataset.labels_for(args.notion)
     rows = per_class_uncertainty(variances, labels)
     overall = dataset_uncertainty(variances, labels)
@@ -163,7 +152,7 @@ def cmd_uncertainty(args):
             f.write("\n")
     print(f"dataset_uncertainty={overall:.6g} over {len(rows)} classes")
     for r in rows:
-        print(f"class={r['class']:<12s} size={r['size']:<4d} "
+        print(f"class={str(r['class']):<12s} size={r['size']:<4d} "
               f"uncertainty={r['uncertainty']:.6g} size_normalized={r['size_normalized']:.6g}")
     return 0
 
@@ -171,14 +160,12 @@ def cmd_uncertainty(args):
 def cmd_ablate(args):
     dataset = read_dataset(args.dataset)
     net = load_checkpoint(args.checkpoint)
-    subsets = []
-    for raw in args.subsets:
-        subsets.append(None if raw == "all" else _split_csv(raw))
-    if not subsets:
-        raise ValidationError("--subsets must name at least one modality set")
+    subsets = [None if raw == "all" else _split_csv(raw) or [] for raw in args.subsets]
+    if [] in subsets:
+        raise ValidationError(f"--subsets entries must be 'all' or name a modality, got {args.subsets}")
 
     def embed_fn(subset):
-        return _embed(net, dataset, args.notion, args.mc, args.seed, subset)
+        return embed_dataset(net, dataset.items, args.notion, args.mc, args.seed, subset)
 
     rows = modality_ablation(embed_fn, subsets, dataset.labels_for(args.notion))
     if args.out:
@@ -266,6 +253,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "out_required", False):
             _require(args, "out")
+        if getattr(args, "mc", 0) < 0:
+            raise ValidationError(f"--mc must be >= 0, got {args.mc}")
         with np.errstate(all="ignore"):  # a non-finite result ends in one error line, not warnings
             return args.func(args)
     except ParseError as e:

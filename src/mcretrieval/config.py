@@ -92,18 +92,29 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         raise ParseError(str(e), path=str(path), line=e.lineno) from None
     if not isinstance(doc, dict):
         raise ParseError("config must be a JSON object", path=str(path), line=1)
-    types = {f.name: f.type for f in fields(RunConfig)}
-    unknown = sorted(set(doc) - set(types))
+    unknown = sorted(set(doc) - {f.name for f in fields(RunConfig)})
     if unknown:
         raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
     if overrides:
         doc.update({k: v for k, v in overrides.items() if v is not None})
-    for key, value in doc.items():
-        want = types[key]
+    return RunConfig(**check_json_types(RunConfig, doc, "config key"))
+
+
+def check_json_types(cls, doc: dict, what: str) -> dict:
+    """doc, once each value in it has the JSON type of cls's field of that name; else a ValidationError.
+
+    A bool field takes only a bool, an int field only an int, a float field any
+    finite number, a str field a string; null only where the default is None.
+    Keys that name no field are left to the caller.
+    """
+    for f in fields(cls):
+        if f.name not in doc or doc[f.name] is None and f.default is None:
+            continue
+        value, want = doc[f.name], f.type
         # bool is an int subclass, so only a bool field may take one; a float field takes an int
         if isinstance(value, bool) != (want is bool) \
                 or not isinstance(value, (int, float) if want is float else want) \
                 or (want is float and not math.isfinite(value)):
             kind = "a finite number" if want is float else f"of type {want.__name__}"
-            raise ValidationError(f"config key {key!r} must be {kind}, got {value!r}")
-    return RunConfig(**doc)
+            raise ValidationError(f"{what} {f.name!r} must be {kind}, got {value!r}")
+    return doc

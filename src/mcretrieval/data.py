@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import check_json_types
 from .errors import ParseError, ValidationError
 from .model import SEQUENCE, VECTOR
 from .rng import RngStream
@@ -144,10 +145,9 @@ def read_dataset(path) -> DatasetFile:
         if key not in header:
             _parse_err(f"header missing {key!r}", path, 1)
     try:
-        modalities = [
-            ModalityFormat(m["name"], m["kind"], m["dim"], m.get("frames", 1))
-            for m in header["modalities"]
-        ]
+        docs = [check_json_types(ModalityFormat, m, "modality field") for m in header["modalities"]]
+        modalities = [ModalityFormat(m["name"], m["kind"], m["dim"], m.get("frames", 1)) for m in docs]
+        DatasetFile(modalities, [], {}).validate()  # duplicate names; there are no items yet
     except (KeyError, TypeError, ValidationError) as e:
         _parse_err(f"bad modality declaration: {e}", path, 1)
     notions, classes = header["notions"], header["classes"]

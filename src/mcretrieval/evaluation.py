@@ -112,12 +112,12 @@ def evaluate(ids, embeddings, labels, config=None) -> RetrievalReport:
     )
 
 
-def mc_sweep(embed_fn, mc_values, labels, base_seed: int = 0):
-    """Evaluate one dataset at several mc settings plus the dropout-off baseline.
+def mc_sweep(embed_fn, mc_values, labels):
+    """Evaluate one dataset at the mc = 0 baseline and at each of mc_values.
 
-    embed_fn(mc, seed, stochastic) -> (ids, means, variances). Every run
-    reuses base_seed so sweep points share their random draws and differ
-    only in how many passes are averaged.
+    embed_fn(mc) -> (ids, means, variances). The caller fixes the seed, so
+    sweep points share their random draws and differ only in how many
+    passes are averaged.
     """
     mc_values = list(mc_values)
     if not mc_values:
@@ -125,15 +125,10 @@ def mc_sweep(embed_fn, mc_values, labels, base_seed: int = 0):
     if any(m < 1 for m in mc_values):
         raise ValidationError("mc values must be >= 1")
     rows = []
-    ids, means, variances = embed_fn(1, base_seed, False)
-    baseline = evaluate(ids, means, labels, config={"mc": 0, "mode": "disabled"})
-    rows.append({"mc": 0, "stochastic": False, "micro_map": baseline.micro_map,
-                 "macro_map": baseline.macro_map, "top1": baseline.top1,
-                 "mean_variance": 0.0})
-    for mc in mc_values:
-        ids, means, variances = embed_fn(mc, base_seed, True)
-        rep = evaluate(ids, means, labels, config={"mc": mc, "mode": "stochastic"})
-        rows.append({"mc": mc, "stochastic": True, "micro_map": rep.micro_map,
+    for mc in [0, *mc_values]:
+        ids, means, variances = embed_fn(mc)
+        rep = evaluate(ids, means, labels, config={"mc": mc})
+        rows.append({"mc": mc, "stochastic": mc > 0, "micro_map": rep.micro_map,
                      "macro_map": rep.macro_map, "top1": rep.top1,
                      "mean_variance": float(np.mean(variances))})
     return rows
@@ -159,15 +154,15 @@ def modality_ablation(embed_fn, subsets, labels):
     return rows
 
 
-def write_report(path, rows_or_report, columns=None):
-    """Flat JSON table: {"columns": [...], "rows": [[...], ...]}."""
+def write_report(path, rows_or_report):
+    """A report's dict, or rows as a flat JSON table: {"columns": [...], "rows": [[...], ...]}."""
     if isinstance(rows_or_report, RetrievalReport):
         doc = rows_or_report.to_dict()
     else:
         rows = list(rows_or_report)
         if not rows:
             raise ValidationError("nothing to report")
-        columns = columns or list(rows[0].keys())
+        columns = list(rows[0])
         doc = {"columns": columns,
                "rows": [[row[c] for c in columns] for row in rows]}
     with open(path, "w") as f:

@@ -63,7 +63,8 @@ def pk_sample(labels, p: int, k: int, rng: RngStream) -> PkBatch:
     by_class = {}
     for i, lab in enumerate(labels):
         by_class.setdefault(lab, []).append(i)
-    classes = sorted(by_class)
+    # numbers first, then any other label by its text, so a mixed vocabulary still sorts
+    classes = sorted(by_class, key=lambda c: (0, c) if isinstance(c, (int, float)) else (1, str(c)))
     eligible = [c for c in classes if len(by_class[c]) >= k]
     if len(eligible) < p:
         deficient = [c for c in classes if len(by_class[c]) < k]
@@ -123,33 +124,21 @@ def _semi_hard_rows(rows, anchor_positive_dist, neg_mask) -> np.ndarray:
     return np.where(beyond.any(axis=1), near, np.where(neg_mask.any(axis=1), far, -1))
 
 
-@dataclass
-class MiningEpochPlan:
-    """Knobs for one semi-hard mining epoch."""
-
-    sessions_per_draw: int = 3
-    chunk_size: int = 512
-    triplet_cap: int = 400
-    synthetic_session_size: int = 40
-
-    def __post_init__(self):
-        if self.sessions_per_draw < 1 or self.chunk_size < 1 or self.triplet_cap < 1:
-            raise ValidationError("mining plan values must be positive")
-        if self.synthetic_session_size < 2:
-            raise ValidationError("synthetic sessions need at least 2 items")
+# items per pseudo-session when a dataset has no session ids
+SYNTHETIC_SESSION_SIZE = 40
 
 
-def session_draws(n_items: int, sessions, plan: MiningEpochPlan, rng: RngStream):
-    """Yield one epoch's draws: the items of plan.sessions_per_draw sessions each.
+def session_draws(n_items: int, sessions, sessions_per_draw: int, rng: RngStream):
+    """Yield one epoch's draws: the items of sessions_per_draw sessions each.
 
     Each epoch visits every session exactly once. Without session ids,
     items are first partitioned into random pseudo-sessions of
-    plan.synthetic_session_size; then the session order is drawn from
-    rng. Both draws happen before the first yield.
+    SYNTHETIC_SESSION_SIZE; then the session order is drawn from rng.
+    Both draws happen before the first yield.
     """
     if sessions is None:
         order = rng.permutation(n_items)
-        size = plan.synthetic_session_size
+        size = SYNTHETIC_SESSION_SIZE
         groups = [order[i : i + size].tolist() for i in range(0, n_items, size)]
     else:
         if len(sessions) != n_items:
@@ -159,8 +148,8 @@ def session_draws(n_items: int, sessions, plan: MiningEpochPlan, rng: RngStream)
             by_session.setdefault(s, []).append(i)
         groups = [by_session[key] for key in sorted(by_session, key=str)]
     order = rng.permutation(len(groups))
-    for start in range(0, len(groups), plan.sessions_per_draw):
-        yield [i for g in order[start : start + plan.sessions_per_draw] for i in groups[g]]
+    for start in range(0, len(groups), sessions_per_draw):
+        yield [i for g in order[start : start + sessions_per_draw] for i in groups[g]]
 
 
 def semi_hard_draw(dist, labels, cap: int, rng: RngStream):

@@ -10,7 +10,7 @@ the hidden-to-hidden path of the recurrence carries none.
 import functools
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .autodiff import (
     relu,
     rnn_steps,
 )
+from .config import check_json_types
 from .errors import ParseError, ShapeError, ValidationError
 from .rng import RngStream
 
@@ -60,16 +61,6 @@ class ModalitySpec:
             if self.input_dim % self.cells or (self.hidden_dim or 0) % self.cells:
                 raise ValidationError(f"cells must divide input and hidden dims for {self.name}")
 
-    def to_dict(self):
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "input_dim": self.input_dim,
-            "hidden_dim": self.hidden_dim,
-            "samples": self.samples,
-            "cells": self.cells,
-        }
-
 
 def sample_frame_indices(length, n: int, spec: DropoutSpec, rng):
     """Frame picks for one pass, ascending: [n] for one sequence length, one row per length for a list.
@@ -97,6 +88,14 @@ def _frame_grid(length: int, n: int) -> np.ndarray:
     grid = np.round(np.linspace(0, length - 1, n)).astype(np.intp)
     grid.setflags(write=False)
     return grid
+
+
+@dataclass(frozen=True)
+class _CheckpointScalars:  # the JSON types of a checkpoint's scalar fields, for check_json_types
+    embed_dim: int
+    dropout_rate: float
+    normalize: bool
+    seed: int = 0
 
 
 class ConditionalNet:
@@ -282,7 +281,7 @@ class ConditionalNet:
             "normalize": self.normalize,
             "seed": self.seed,
             "notions": self.notions,
-            "modalities": [m.to_dict() for m in self.modalities],
+            "modalities": [asdict(m) for m in self.modalities],
             "params": {
                 name: {"shape": list(p.data.shape), "data": p.data.reshape(-1).tolist()}
                 for name, p in self.params.items()
@@ -296,8 +295,10 @@ class ConditionalNet:
             raise ValidationError("a checkpoint must be a JSON object")
         if doc.get("format") != "mcretrieval-checkpoint-v1":
             raise ValidationError(f"not a checkpoint document (format={doc.get('format')!r})")
+        check_json_types(_CheckpointScalars, doc, "checkpoint field")
         try:
-            mods = [ModalitySpec(**m) for m in doc["modalities"]]
+            mods = [ModalitySpec(**check_json_types(ModalitySpec, m, "checkpoint modality field"))
+                    for m in doc["modalities"]]
             net = cls(
                 mods,
                 doc["notions"],

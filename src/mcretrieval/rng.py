@@ -46,8 +46,8 @@ class RngStream:
     def uniform(self, shape=None) -> np.ndarray:
         return self._gen.random(size=shape)
 
-    def normal(self, shape=None, scale: float = 1.0) -> np.ndarray:
-        return self._gen.normal(0.0, scale, size=shape)
+    def normal(self, shape=None) -> np.ndarray:
+        return self._gen.normal(0.0, 1.0, size=shape)
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)

@@ -21,7 +21,6 @@ from .data import DatasetFile
 from .errors import DivergenceError, ValidationError
 from .losses import batch_objective, mask_penalty, triplet_batch_term
 from .mining import (
-    MiningEpochPlan,
     batch_hard_triplets,
     embed_in_chunks,
     pairwise_distances,
@@ -95,8 +94,6 @@ def train(dataset: DatasetFile, cfg: RunConfig, out_dir=None, notions=None) -> T
     net = build_net(dataset, cfg, notions=notions)
     opt = Adam(net.parameters(), lr=cfg.lr)
     labels = {n: dataset.labels_for(n) for n in net.notions}
-    plan = MiningEpochPlan(sessions_per_draw=cfg.sessions_per_draw,
-                           chunk_size=cfg.batch_size, triplet_cap=cfg.triplet_cap)
     mine_rng_root = RngStream(cfg.seed, 1)
     drop_rng_root = RngStream(cfg.seed, 2)
     pk_rng_root = RngStream(cfg.seed, 3)
@@ -126,7 +123,7 @@ def train(dataset: DatasetFile, cfg: RunConfig, out_dir=None, notions=None) -> T
         else:
             mine_rng = mine_rng_root.substream(epoch)
             for draw, items in enumerate(session_draws(len(dataset.items), dataset.sessions(),
-                                                       plan, mine_rng)):
+                                                       cfg.sessions_per_draw, mine_rng)):
                 notion = net.notions[step % len(net.notions)]
 
                 def embed_fn(idxs):
@@ -134,9 +131,9 @@ def train(dataset: DatasetFile, cfg: RunConfig, out_dir=None, notions=None) -> T
                         pls = [dataset.items[i].payloads for i in idxs]
                         return net.forward_batch(pls, notion, DropoutSpec(cfg.dropout, DISABLED)).data
 
-                dist = pairwise_distances(embed_in_chunks(items, embed_fn, plan.chunk_size))
+                dist = pairwise_distances(embed_in_chunks(items, embed_fn, cfg.batch_size))
                 batch = semi_hard_draw(dist, [labels[notion][i] for i in items],
-                                       plan.triplet_cap, mine_rng)
+                                       cfg.triplet_cap, mine_rng)
                 if batch is None:
                     log.warning("epoch %d: draw %d has no usable triplets; skipped", epoch, draw)
                     continue

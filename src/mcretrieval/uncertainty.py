@@ -1,9 +1,9 @@
 """Monte Carlo dropout embeddings and uncertainty summaries.
 
 An item's retrieval embedding is the per-dimension mean over mc
-stochastic forward passes (kept raw, not re-normalized, unless asked);
-the per-dimension sample variance over the same passes is the model's
-uncertainty about the item.
+stochastic forward passes (kept raw, not re-normalized); the
+per-dimension sample variance over the same passes is the model's
+uncertainty about the item. mc = 0 is the deterministic baseline.
 """
 
 import json
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff
-from .autodiff import STOCHASTIC, DropoutSpec
+from .autodiff import DISABLED, STOCHASTIC, DropoutSpec
 from .errors import ParseError, ValidationError
 from .rng import RowStreams
 
@@ -44,16 +44,13 @@ def aggregate_passes(passes: np.ndarray) -> McEmbedding:
     return McEmbedding(mean=mean, variance=var, mc_count=mc)
 
 
-def mc_embed(net, payloads, notion: str, mc: int, seed: int,
-             mode: str = STOCHASTIC, renormalize: bool = False) -> McEmbedding:
+def mc_embed(net, payloads, notion: str, mc: int, seed: int) -> McEmbedding:
     """Embed one item with mc dropout passes on streams seed..seed+mc-1.
 
-    A one-item embed_dataset whose stream block starts at seed. With
-    dropout Disabled every pass is the same deterministic forward, which
-    is returned bit-exactly as the mean with zero variance.
+    A one-item embed_dataset whose stream block starts at seed; at mc = 0
+    the mean is the deterministic forward, bit for bit, with zero variance.
     """
-    _, means, variances = embed_dataset(net, [(None, payloads)], notion, mc, seed, mode,
-                                        renormalize=renormalize)
+    _, means, variances = embed_dataset(net, [(None, payloads)], notion, mc, seed)
     return McEmbedding(mean=means[0], variance=variances[0], mc_count=mc)
 
 
@@ -67,8 +64,7 @@ ITEM_STREAM_STRIDE = 1 << 20
 CHUNK_ROWS = 1024
 
 
-def embed_dataset(net, items, notion: str, mc: int, seed: int, mode: str = STOCHASTIC,
-                  modalities=None, renormalize: bool = False):
+def embed_dataset(net, items, notion: str, mc: int, seed: int, modalities=None):
     """Embed every item with mc dropout passes; item i draws from the block seed + i*ITEM_STREAM_STRIDE.
 
     items are (id, payloads) pairs or objects with .id and .payloads.
@@ -77,16 +73,16 @@ def embed_dataset(net, items, notion: str, mc: int, seed: int, mode: str = STOCH
     whole items at a time, at most max(mc, CHUNK_ROWS) rows per no-grad
     forward. Pass j of item i is one row whose stream is keyed (b, b + j),
     b = seed + i*ITEM_STREAM_STRIDE, as RngStream(b, b + j) is, so each
-    pass draws what it would draw alone; Disabled mode runs one row per
-    item and no streams. Returns (ids, means [n, d], variances [n, d]).
+    pass draws what it would draw alone; mc = 0, the baseline, runs dropout
+    Disabled, one row per item and no streams. Returns (ids, means [n, d], variances [n, d]).
     """
-    if mc < 1:
-        raise ValidationError(f"mc must be >= 1, got {mc}")
+    if mc < 0:
+        raise ValidationError(f"mc must be >= 0, got {mc}")
     if mc > ITEM_STREAM_STRIDE:
         raise ValidationError(f"mc must be <= {ITEM_STREAM_STRIDE}")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
-    spec = DropoutSpec(net.dropout_rate, mode)
+    spec = DropoutSpec(net.dropout_rate, STOCHASTIC if mc else DISABLED)
     unknown = sorted(set(modalities or ()) - {m.name for m in net.modalities})
     if unknown:
         # a misspelt name must not quietly leave its modality out
@@ -104,7 +100,7 @@ def embed_dataset(net, items, notion: str, mc: int, seed: int, mode: str = STOCH
         # forward_batch keeps only the modalities every row carries
         groups.setdefault(frozenset(payloads), []).append(i)
 
-    passes = mc if spec.stochastic else 1
+    passes = max(mc, 1)
     step = max(1, CHUNK_ROWS // passes)
     means = np.empty((len(ids), net.embed_dim))
     variances = np.empty_like(means)
@@ -114,16 +110,13 @@ def embed_dataset(net, items, notion: str, mc: int, seed: int, mode: str = STOCH
                 chunk = members[start:start + step]
                 batch = [payload_list[i] for i in chunk for _ in range(passes)]
                 rng = None
-                if spec.stochastic:
+                if mc:
                     # the key of RngStream(b, b + j), which takes both modulo 2**64
                     blocks = [seed + i * ITEM_STREAM_STRIDE for i in chunk]
                     rng = RowStreams([(b % 2**64, (b + j) % 2**64) for b in blocks for j in range(mc)])
                 out = net.forward_batch(batch, notion, spec, rng).data
                 for i, rows in zip(chunk, out.reshape(len(chunk), passes, -1)):
                     agg = aggregate_passes(rows)
-                    # a Disabled mean stays the deterministic forward, bit for bit
-                    if renormalize and spec.stochastic:
-                        agg.mean = agg.mean / max(float(np.linalg.norm(agg.mean)), 1e-12)
                     means[i], variances[i] = agg.mean, agg.variance
     return ids, means, variances
 
@@ -215,7 +208,7 @@ def read_embeddings(path) -> EmbeddingFile:
             if isinstance(rec["id"], (list, dict)):
                 raise ParseError(f"id must be a string or number, got {rec['id']!r}",
                                  path=str(path), line=lineno)
-            if notion is None:
+            if not ids:  # the first record sets the notion and mc every later one repeats
                 notion, mc = rec["notion"], rec["mc"]
             elif rec["notion"] != notion or rec["mc"] != mc:
                 raise ParseError(
@@ -239,7 +232,7 @@ def read_embeddings(path) -> EmbeddingFile:
             ids.append(rec["id"])
             means.append(mean)
             variances.append(var)
-    if notion is None:
+    if not ids:
         raise ParseError("no embedding records found", path=str(path), line=1)
     return EmbeddingFile(ids=ids, means=np.array(means), variances=np.array(variances),
                          notion=notion, mc=mc)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from mcretrieval import DISABLED, STOCHASTIC, DropoutSpec, autodiff
+from mcretrieval import DISABLED, DropoutSpec, autodiff
 from mcretrieval.autodiff import (
     Parameter,
     Tensor,
@@ -67,11 +67,8 @@ def _study_cfg(seed):
                      triplet_cap=200, frame_samples=3)
 
 
-def _embed_fn(net, items, notion):
-    def fn(mc, seed, stochastic):
-        mode = STOCHASTIC if stochastic else DISABLED
-        return embed_dataset(net, items, notion, mc, seed, mode)
-    return fn
+def _embed_fn(net, items, notion, seed):
+    return lambda mc: embed_dataset(net, items, notion, mc, seed)
 
 
 @pytest.fixture(scope="session")
@@ -88,8 +85,7 @@ def study():
         notions = {}
         for notion in ds.notions:
             labels = [it.labels[notion] for it in te.items]
-            rows = mc_sweep(_embed_fn(joint, items, notion), MC_GRID, labels,
-                            base_seed=EVAL_SEED)
+            rows = mc_sweep(_embed_fn(joint, items, notion, EVAL_SEED), MC_GRID, labels)
             _, _, variances = embed_dataset(joint, items, notion, 50, EVAL_SEED)
             spec_net = train(tr, _study_cfg(seed), notions=[notion]).net
             ids, means, _ = embed_dataset(spec_net, items, notion, 50, EVAL_SEED)
@@ -310,18 +306,17 @@ def _tiny_net(dropout):
 
 
 def test_dropout_off_paths_match_deterministic_baseline():
-    """Disabled-mode MC embedding is the deterministic forward bit for bit at
-    mc 1 and 50; a rate-0 stochastic mc=50 sweep matches baseline mAP to 1e-12."""
+    """The mc = 0 embedding is the deterministic forward bit for bit; a
+    rate-0 stochastic mc=50 sweep matches baseline mAP to 1e-12."""
     net = _tiny_net(0.3)
     rng = np.random.default_rng(5)
     payloads = {"vec": rng.normal(size=5), "seq": rng.normal(size=(6, 4))}
     with autodiff.no_grad():
         det = np.array(net.forward(payloads, "goal",
                                    DropoutSpec(net.dropout_rate, DISABLED)).data)
-    for mc in (1, 50):
-        out = mc_embed(net, payloads, "goal", mc, seed=9, mode=DISABLED)
-        assert np.array_equal(out.mean, det)
-        assert not out.variance.any()
+    out = mc_embed(net, payloads, "goal", 0, seed=9)
+    assert np.array_equal(out.mean, det)
+    assert not out.variance.any()
 
     ds = synth_generate(items=36, seed=2, **preset_args("noiseless"))
     cfg = RunConfig(embed_dim=8, hidden_dim=8, dropout=0.0, frame_samples=2,
@@ -329,7 +324,7 @@ def test_dropout_off_paths_match_deterministic_baseline():
     net0 = build_net(ds, cfg)
     items = [(it.id, it.payloads) for it in ds.items]
     labels = ds.labels_for("goal")
-    rows = mc_sweep(_embed_fn(net0, items, "goal"), [50], labels, base_seed=3)
+    rows = mc_sweep(_embed_fn(net0, items, "goal", 3), [50], labels)
     base, mc50 = rows
     assert mc50["mc"] == 50 and base["mc"] == 0
     assert abs(mc50["macro_map"] - base["macro_map"]) <= 1e-12

@@ -32,6 +32,24 @@ def workspace(tmp_path_factory):
             "ckpt": root / "run" / "checkpoint.json"}
 
 
+def relabel(src, dst, notion, rename):
+    """Copy a dataset file with every class name of one notion passed through rename."""
+    lines = src.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["classes"][notion] = [rename(c) for c in header["classes"][notion]]
+    recs = [json.loads(line) for line in lines[1:]]
+    for rec in recs:
+        rec["labels"][notion] = rename(rec["labels"][notion])
+    dst.write_text("\n".join(json.dumps(r) for r in [header, *recs]) + "\n")
+    return dst
+
+
+def one_error_line(capsys, prefix, *says):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+    assert all(s in err for s in says), err
+
+
 class TestSynth:
     def test_same_seed_same_bytes(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -47,7 +65,24 @@ class TestSynth:
         assert capsys.readouterr().err.startswith("error[validation]:")
 
 
+    def test_negative_sessions_names_its_flag(self, tmp_path, capsys):
+        out = tmp_path / "x.jsonl"
+        assert main(["synth", "--preset", "noiseless", "--items", "30", "--sessions", "-3",
+                     "--out", str(out)]) == 2
+        one_error_line(capsys, "error[validation]:", "--sessions")
+        assert not out.exists()
+
+
 class TestTrain:
+    def test_batch_hard_on_mixed_vocabulary(self, workspace, tmp_path):
+        # goal classes become 0, "goal1", 2, "goal3": pk_sample must still order them
+        data = relabel(workspace["data"], tmp_path / "mixed.jsonl", "goal",
+                       lambda c: c if int(c[4:]) % 2 else int(c[4:]))
+        cfg = tmp_path / "bh.json"
+        cfg.write_text(json.dumps({**FAST_CFG, "miner": "batch-hard"}))
+        assert main(["train", "--dataset", str(data), "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == 0
+
     def test_bad_dropout_exits_before_training(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({**FAST_CFG, "dropout": 1.0}))
@@ -127,6 +162,21 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error[parse]:") and f"bad.jsonl:{line}:" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("field,value", [
+        ("name", ["vec"]), ("dim", 2.5), ("dim", True), ("name", "seq"),
+    ])
+    def test_bad_modality_declaration_is_line_1(self, workspace, tmp_path, capsys, field, value):
+        # ("name", "seq") repeats the second modality's name
+        lines = workspace["data"].read_text().splitlines()
+        header = json.loads(lines[0])
+        header["modalities"][0][field] = value
+        lines[0] = json.dumps(header)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["eval", "--dataset", str(bad), "--checkpoint", str(workspace["ckpt"]),
+                     "--notion", "goal", "--mc", "0"]) == 3
+        one_error_line(capsys, "error[parse]:", "bad.jsonl:1:")
 
     @pytest.mark.parametrize("value", [
         {"epochs": "5"}, {"margin": None}, {"epochs": 5.5}, {"seed": 1.5}, {"normalize": "no"},
@@ -257,6 +307,20 @@ class TestEvalSweepUncertaintyAblate:
         sizes = [r["size"] for r in doc["per_class"]]
         assert sizes == sorted(sizes, reverse=True)
 
+    def test_uncertainty_with_numeric_classes(self, workspace, tmp_path, capsys):
+        data = relabel(workspace["data"], tmp_path / "int.jsonl", "stimulus",
+                       lambda c: int(c[len("stimulus"):]))
+        assert main(["uncertainty", "--dataset", str(data), "--checkpoint", str(workspace["ckpt"]),
+                     "--notion", "stimulus", "--mc", "3"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("class=") == 3 and "class=0 " in out
+
+    @pytest.mark.parametrize("subset", ["", ","])
+    def test_empty_subset_names_its_flag(self, workspace, capsys, subset):
+        assert main(["ablate", "--dataset", str(workspace["data"]), "--checkpoint", str(workspace["ckpt"]),
+                     "--notion", "goal", "--mc", "0", "--subsets", "all", subset]) == 2
+        one_error_line(capsys, "error[validation]:", "--subsets")
+
     def test_uncertainty_needs_two_passes(self, workspace, capsys):
         code = main(["uncertainty", "--dataset", str(workspace["data"]),
                      "--checkpoint", str(workspace["ckpt"]),
@@ -302,6 +366,7 @@ class TestEvalSweepUncertaintyAblate:
     @pytest.mark.parametrize("case,code", [
         ("truncated", 3), ("missing_key", 2), ("not_an_object", 2),
         ("wrong_dim_type", 2), ("wrong_param_type", 2), ("infinite_param", 2),
+        ("float_samples", 2), ("bool_samples", 2),
     ])
     def test_malformed_checkpoint_exits_with_one_line(self, workspace, tmp_path, capsys, case, code):
         text = workspace["ckpt"].read_text()
@@ -313,6 +378,10 @@ class TestEvalSweepUncertaintyAblate:
             "wrong_dim_type": json.dumps({**doc, "embed_dim": "wide"}),
             "wrong_param_type": json.dumps({**doc, "params": {
                 k: {"shape": v["shape"], "data": "x"} for k, v in doc["params"].items()}}),
+            "float_samples": json.dumps({**doc, "modalities": [
+                {**m, "samples": 2.0} for m in doc["modalities"]]}),
+            "bool_samples": json.dumps({**doc, "modalities": [
+                {**m, "samples": True} for m in doc["modalities"]]}),
             "infinite_param": json.dumps({**doc, "params": {
                 k: {"shape": v["shape"], "data": np.full(v["shape"], np.inf).tolist()}
                 for k, v in doc["params"].items()}}),

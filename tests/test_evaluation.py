@@ -120,10 +120,10 @@ def fake_embed_factory():
     labels = ["A", "A", "A", "B", "B", "B"]
     base_noise = rng.normal(size=(len(labels), 2))
 
-    def embed_fn(mc, seed, stochastic):
-        scale = 1.2 / np.sqrt(mc) if stochastic else 1.2
+    def embed_fn(mc):
+        scale = 1.2 / np.sqrt(mc) if mc else 1.2
         means = np.stack([protos[lab] for lab in labels]) + scale * base_noise
-        variances = np.full_like(means, 1.0 / mc if stochastic else 0.0)
+        variances = np.full_like(means, 1.0 / mc if mc else 0.0)
         ids = [f"i{k}" for k in range(len(labels))]
         return ids, means, variances
 
@@ -133,7 +133,7 @@ def fake_embed_factory():
 class TestSweepAndAblation:
     def test_sweep_has_baseline_row_and_mc_rows(self):
         embed_fn, labels = fake_embed_factory()
-        rows = mc_sweep(embed_fn, [1, 4, 16], labels, base_seed=3)
+        rows = mc_sweep(embed_fn, [1, 4, 16], labels)
         assert [r["mc"] for r in rows] == [0, 1, 4, 16]
         assert rows[0]["stochastic"] is False
         assert rows[0]["mean_variance"] == 0.0

@@ -5,7 +5,6 @@ import pytest
 
 from mcretrieval import MiningError, RngStream, SamplingError, ValidationError, mining
 from mcretrieval.mining import (
-    MiningEpochPlan,
     batch_hard_triplets,
     embed_in_chunks,
     pairwise_distances,
@@ -81,6 +80,19 @@ class TestPkSample:
         a = pk_sample(labels, 2, 3, RngStream(5, 9))
         b = pk_sample(labels, 2, 3, RngStream(5, 9))
         assert np.array_equal(a.indices, b.indices)
+
+    @pytest.mark.parametrize("vocab,want", [
+        (["b", "a", "c9", "c10"], ["a", "b", "c10", "c9"]),
+        ([3, 1.5, 10, 2], [1.5, 2, 3, 10]),
+        (["b", 10, "a", 2], [2, 10, "a", "b"]),
+    ])
+    def test_class_order_numbers_then_text(self, vocab, want):
+        # only strings or only numbers: sorted() order, so checkpoints do not
+        # move; a mixed vocabulary puts numbers first instead of raising TypeError
+        labels = [c for c in vocab for _ in range(3)]
+        picks = RngStream(4, 4).choice(len(vocab), size=len(vocab), replace=False)
+        batch = pk_sample(labels, len(vocab), 2, RngStream(4, 4))
+        assert batch.classes == [want[i] for i in picks]
 
 
 def brute_force_batch_hard(emb, labels):
@@ -186,11 +198,11 @@ class TestSemiHardNegative:
             assert got == want
 
 
-def mine_epoch(labels, sessions, embed, plan, rng):
+def mine_epoch(labels, sessions, embed, rng, sessions_per_draw=3, chunk_size=512, triplet_cap=400):
     """One epoch of training.train's per-draw mining steps over a fixed embedding function."""
-    for items in session_draws(len(labels), sessions, plan, rng):
-        d = pairwise_distances(embed_in_chunks(items, embed, plan.chunk_size))
-        batch = semi_hard_draw(d, [labels[i] for i in items], plan.triplet_cap, rng)
+    for items in session_draws(len(labels), sessions, sessions_per_draw, rng):
+        d = pairwise_distances(embed_in_chunks(items, embed, chunk_size))
+        batch = semi_hard_draw(d, [labels[i] for i in items], triplet_cap, rng)
         if batch is not None:
             yield np.asarray(items, dtype=np.intp)[batch]
 
@@ -320,14 +332,14 @@ class TestSemiHardEpoch:
     def test_every_item_embedded_once_per_epoch(self):
         seen = []
         embed = lambda idx: (seen.extend(idx), self.emb[np.asarray(idx, dtype=int)])[1]
-        plan = MiningEpochPlan(sessions_per_draw=2, chunk_size=16, triplet_cap=1000)
-        list(mine_epoch(self.labels, self.sessions, embed, plan, RngStream(1, 0)))
+        list(mine_epoch(self.labels, self.sessions, embed, RngStream(1, 0),
+                        sessions_per_draw=2, chunk_size=16, triplet_cap=1000))
         assert sorted(seen) == list(range(self.n))
 
     def test_reproducible_from_seed(self):
-        plan = MiningEpochPlan(sessions_per_draw=2, chunk_size=64, triplet_cap=50)
-        a = list(mine_epoch(self.labels, self.sessions, self.embed, plan, RngStream(2, 1)))
-        b = list(mine_epoch(self.labels, self.sessions, self.embed, plan, RngStream(2, 1)))
+        knobs = dict(sessions_per_draw=2, chunk_size=64, triplet_cap=50)
+        a = list(mine_epoch(self.labels, self.sessions, self.embed, RngStream(2, 1), **knobs))
+        b = list(mine_epoch(self.labels, self.sessions, self.embed, RngStream(2, 1), **knobs))
         assert len(a) == len(b)
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
@@ -339,10 +351,8 @@ class TestSemiHardEpoch:
         n = len(labels)
         rng = np.random.default_rng(8)
         emb = rng.normal(size=(n, 4))
-        plan = MiningEpochPlan(sessions_per_draw=3, chunk_size=512, triplet_cap=400)
-        batches = list(
-            mine_epoch(labels, ["s0"] * n, lambda idx: emb[np.asarray(idx, int)], plan, RngStream(3, 3))
-        )
+        batches = list(mine_epoch(labels, ["s0"] * n, lambda idx: emb[np.asarray(idx, int)], RngStream(3, 3),
+                                  sessions_per_draw=3, chunk_size=512, triplet_cap=400))
         assert len(batches) == 1
         assert batches[0].shape == (400, 3)
 
@@ -350,40 +360,39 @@ class TestSemiHardEpoch:
         sizes = [3, 2]
         labels = [f"c{i}" for i, s in enumerate(sizes) for _ in range(s)]
         emb = np.random.default_rng(9).normal(size=(5, 3))
-        plan = MiningEpochPlan(triplet_cap=400)
-        (batch,) = mine_epoch(labels, ["s"] * 5, lambda idx: emb[np.asarray(idx, int)], plan, RngStream(4, 0))
+        (batch,) = mine_epoch(labels, ["s"] * 5, lambda idx: emb[np.asarray(idx, int)], RngStream(4, 0),
+                              triplet_cap=400)
         assert batch.shape == (3 + 1, 3)  # C(3,2) + C(2,2)
 
     def test_triplet_labels_valid(self):
-        plan = MiningEpochPlan(sessions_per_draw=2, chunk_size=32, triplet_cap=500)
-        for batch in mine_epoch(self.labels, self.sessions, self.embed, plan, RngStream(5, 0)):
+        for batch in mine_epoch(self.labels, self.sessions, self.embed, RngStream(5, 0),
+                                sessions_per_draw=2, chunk_size=32, triplet_cap=500):
             for a, p, n in batch:
                 assert self.labels[a] == self.labels[p] and self.labels[a] != self.labels[n]
 
-    def test_sessionless_partition(self):
+    def test_sessionless_partition(self, monkeypatch):
         seen = []
         embed = lambda idx: (seen.extend(idx), self.emb[np.asarray(idx, dtype=int)])[1]
-        plan = MiningEpochPlan(sessions_per_draw=2, synthetic_session_size=13, triplet_cap=1000)
-        list(mine_epoch(self.labels, None, embed, plan, RngStream(6, 0)))
+        monkeypatch.setattr(mining, "SYNTHETIC_SESSION_SIZE", 13)
+        list(mine_epoch(self.labels, None, embed, RngStream(6, 0), sessions_per_draw=2, triplet_cap=1000))
         assert sorted(seen) == list(range(self.n))
 
     def test_single_class_draw_skipped_without_error(self):
         labels = ["a"] * 8
         emb = np.random.default_rng(10).normal(size=(8, 3))
-        plan = MiningEpochPlan()
-        out = list(mine_epoch(labels, ["s"] * 8, lambda idx: emb[np.asarray(idx, int)], plan, RngStream(7, 0)))
+        out = list(mine_epoch(labels, ["s"] * 8, lambda idx: emb[np.asarray(idx, int)], RngStream(7, 0)))
         assert out == []
 
-    def test_session_draws_use_rng_groups_then_order(self):
+    def test_session_draws_use_rng_groups_then_order(self, monkeypatch):
         # sessionless: one permutation partitions the items, a second orders the groups
-        plan = MiningEpochPlan(sessions_per_draw=2, synthetic_session_size=13)
+        monkeypatch.setattr(mining, "SYNTHETIC_SESSION_SIZE", 13)
         rng = RngStream(8, 0)
         perm = rng.permutation(self.n)
         groups = [perm[i : i + 13].tolist() for i in range(0, self.n, 13)]
         order = rng.permutation(len(groups))
         want = [[i for g in order[s : s + 2] for i in groups[g]] for s in range(0, len(groups), 2)]
-        assert list(session_draws(self.n, None, plan, RngStream(8, 0))) == want
+        assert list(session_draws(self.n, None, 2, RngStream(8, 0))) == want
 
     def test_session_count_mismatch_rejected(self):
         with pytest.raises(ValidationError):
-            next(session_draws(self.n, self.sessions[:-1], MiningEpochPlan(), RngStream(9, 0)))
+            next(session_draws(self.n, self.sessions[:-1], 3, RngStream(9, 0)))

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from mcretrieval import (
-    DISABLED,
     STOCHASTIC,
     Adam,
     DivergenceError,
@@ -53,7 +52,7 @@ def small_cfg(**over):
 
 
 def disabled_embeddings(net, ds, notion):
-    ids, means, _ = embed_dataset(net, ds.items, notion, mc=1, seed=0, mode=DISABLED)
+    ids, means, _ = embed_dataset(net, ds.items, notion, mc=0, seed=0)
     return ids, means
 
 

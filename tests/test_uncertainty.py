@@ -62,10 +62,9 @@ class TestMcEmbed:
         net = small_net()
         p = payloads(np.random.default_rng(1))
         direct = net.forward(p, "goal", DropoutSpec(net.dropout_rate, DISABLED)).data
-        for mc in (1, 50):
-            out = mc_embed(net, p, "goal", mc=mc, seed=4, mode=DISABLED)
-            assert np.array_equal(out.mean, direct)
-            assert np.array_equal(out.variance, np.zeros(8))
+        out = mc_embed(net, p, "goal", mc=0, seed=4)
+        assert np.array_equal(out.mean, direct)
+        assert np.array_equal(out.variance, np.zeros(8))
 
     def test_single_stochastic_pass(self):
         net = small_net()
@@ -90,10 +89,8 @@ class TestMcEmbed:
         p = payloads(np.random.default_rng(4))
         out = mc_embed(net, p, "goal", mc=20, seed=0)
         assert out.variance.max() > 0.0
-        # averaged embedding drifts inside the ball unless renormalized
+        # the averaged embedding drifts inside the ball; it is not renormalized
         assert np.linalg.norm(out.mean) < 1.0
-        ren = mc_embed(net, p, "goal", mc=20, seed=0, renormalize=True)
-        assert abs(np.linalg.norm(ren.mean) - 1.0) < 1e-9
 
     def test_mean_variance_shrinks_roughly_inverse_in_passes(self):
         # spread of the MC mean across repeats should fall near 1/n
@@ -112,7 +109,7 @@ class TestMcEmbed:
         net = small_net()
         p = payloads(np.random.default_rng(6))
         with pytest.raises(ValidationError):
-            mc_embed(net, p, "goal", mc=0, seed=1)
+            mc_embed(net, p, "goal", mc=-1, seed=1)
         with pytest.raises(ValidationError):
             mc_embed(net, p, "goal", mc=5, seed=-1)
 
@@ -227,8 +224,8 @@ class TestBatchedPasses:
         net = small_net(p=0.0)
         rng = np.random.default_rng(15)
         items = [(f"it{i}", payloads(rng, t=3 + i)) for i in range(4)]
-        _, sto, sto_var = embed_dataset(net, items, "goal", mc=1, seed=6, mode=STOCHASTIC)
-        _, det, _ = embed_dataset(net, items, "goal", mc=1, seed=6, mode=DISABLED)
+        _, sto, sto_var = embed_dataset(net, items, "goal", mc=1, seed=6)
+        _, det, _ = embed_dataset(net, items, "goal", mc=0, seed=6)
         assert np.array_equal(sto, det)
         assert not sto_var.any()
         # with more passes every row is still the deterministic forward
@@ -255,7 +252,7 @@ class TestBatchedPasses:
             with pytest.raises(ValidationError):
                 embed_dataset(net, [("a", p), ("b", bad)], "goal", mc=2, seed=0)
         with pytest.raises(ValidationError):
-            embed_dataset(net, [("a", p)], "goal", mc=0, seed=0)
+            embed_dataset(net, [("a", p)], "goal", mc=-1, seed=0)
         with pytest.raises(ValidationError):
             embed_dataset(net, [("a", p)], "goal", mc=2, seed=-1)
 
