@@ -24,7 +24,7 @@ from mcretrieval.config import RunConfig
 from mcretrieval.data import DatasetFile, preset_args, synth_generate
 from mcretrieval.evaluation import evaluate, mc_sweep, write_report
 from mcretrieval.training import train
-from mcretrieval.uncertainty import dataset_uncertainty, embed_dataset
+from mcretrieval.uncertainty import dataset_uncertainty, embed_dataset, embed_prefixes
 
 
 def parse_args(argv):
@@ -69,13 +69,12 @@ def run_seed(args, seed, mc_grid, out_dir):
     for notion in ds.notions:
         labels = [it.labels[notion] for it in te.items]
 
-        def embed_fn(mc, _notion=notion):
-            return embed_dataset(joint, items, _notion, mc, args.eval_seed)
-
-        rows = mc_sweep(embed_fn, mc_grid, labels)
+        # one prefix run feeds the sweep and the uncertainty at max(mc_grid)
+        mcs = [0, *mc_grid]
+        ids, embedded = embed_prefixes(joint, items, notion, mcs, args.eval_seed)
+        rows = mc_sweep(lambda _: (ids, embedded), mc_grid, labels)
         write_report(out_dir / f"sweep_{notion}.json", rows)
-        _, _, variances = embed_dataset(joint, items, notion, max(mc_grid),
-                                        args.eval_seed)
+        _, variances = embedded[mcs.index(max(mc_grid))]
         entry = {
             "rows": rows,
             "uncertainty": dataset_uncertainty(variances, labels),

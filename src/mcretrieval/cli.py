@@ -20,6 +20,7 @@ from .training import train
 from .uncertainty import (
     dataset_uncertainty,
     embed_dataset,
+    embed_prefixes,
     per_class_uncertainty,
     read_embeddings,
     write_embeddings,
@@ -119,8 +120,8 @@ def cmd_sweep(args):
     if not mc_values:
         raise ValidationError("--mc-list must name at least one mc value")
 
-    def embed_fn(mc):
-        return embed_dataset(net, dataset.items, args.notion, mc, args.seed)
+    def embed_fn(mcs):
+        return embed_prefixes(net, dataset.items, args.notion, mcs, args.seed)
 
     rows = mc_sweep(embed_fn, mc_values, dataset.labels_for(args.notion))
     if args.out:

@@ -174,9 +174,10 @@ def read_dataset(path) -> DatasetFile:
         for key in ("id", "labels", "payloads"):
             if key not in rec:
                 _parse_err(f"record missing {key!r}", path, lineno)
+        # a null session is no session, as when the writer leaves the key out
         for key in ("id", "session"):
-            if isinstance(rec.get(key), (list, dict)):
-                _parse_err(f"item {key} must be a string or number, got {rec[key]!r}", path, lineno)
+            if isinstance(rec.get(key), (bool, list, dict)) or key == "id" and rec[key] is None:
+                _parse_err(f"item {key} must be a string or number, got {json.dumps(rec[key])}", path, lineno)
         if rec["id"] in seen:
             _parse_err(f"duplicate item id {rec['id']!r}", path, lineno)
         seen.add(rec["id"])

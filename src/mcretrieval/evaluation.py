@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .mining import pairwise_distances
+from .mining import pairwise_distances, row_blocks
 
 
 def average_precision(relevance) -> float:
@@ -82,20 +82,23 @@ def evaluate(ids, embeddings, labels, config=None) -> RetrievalReport:
     queries = [q for q in range(len(ids)) if counts[labels[q]] >= 2]
     if not queries:
         raise ValidationError("no class has two members; nothing to evaluate")
-    dist = pairwise_distances(embeddings, queries)
     per_query = []
     by_class = {}
     top1_hits = 0
     top5_hits = 0
-    for q, order in zip(queries, ranked_galleries(dist, ids, queries)):
-        rel = [labels[i] == labels[q] for i in order]
-        ap = average_precision(rel)
-        per_query.append({"id": ids[q], "class": labels[q], "ap": ap})
-        by_class.setdefault(labels[q], []).append(ap)
-        if rel[0]:
-            top1_hits += 1
-        if any(rel[:5]):
-            top5_hits += 1
+    # one [block, n] distance matrix at a time, each under mining.BLOCK_BYTES
+    for blk in row_blocks(len(queries), len(ids) * 8):
+        block = queries[blk]
+        dist = pairwise_distances(embeddings, block)
+        for q, order in zip(block, ranked_galleries(dist, ids, block)):
+            rel = [labels[i] == labels[q] for i in order]
+            ap = average_precision(rel)
+            per_query.append({"id": ids[q], "class": labels[q], "ap": ap})
+            by_class.setdefault(labels[q], []).append(ap)
+            if rel[0]:
+                top1_hits += 1
+            if any(rel[:5]):
+                top5_hits += 1
 
     n_q = len(per_query)
     class_means = {lab: float(np.mean(aps)) for lab, aps in by_class.items()}
@@ -113,20 +116,22 @@ def evaluate(ids, embeddings, labels, config=None) -> RetrievalReport:
 
 
 def mc_sweep(embed_fn, mc_values, labels):
-    """Evaluate one dataset at the mc = 0 baseline and at each of mc_values.
+    """Evaluate one dataset at the mc = 0 baseline and at each of mc_values, in the order given.
 
-    embed_fn(mc) -> (ids, means, variances). The caller fixes the seed, so
-    sweep points share their random draws and differ only in how many
-    passes are averaged.
+    embed_fn(mcs) -> (ids, [(means, variances) per value of mcs]) is called
+    once, with mcs = [0, *mc_values]: uncertainty.embed_prefixes computes
+    max(mc_values) passes per item once, plus the baseline, and every sweep
+    point averages a prefix of the same passes. The caller fixes the seed.
     """
     mc_values = list(mc_values)
     if not mc_values:
         raise ValidationError("mc_sweep needs at least one mc value")
     if any(m < 1 for m in mc_values):
         raise ValidationError("mc values must be >= 1")
+    mcs = [0, *mc_values]
+    ids, embedded = embed_fn(mcs)
     rows = []
-    for mc in [0, *mc_values]:
-        ids, means, variances = embed_fn(mc)
+    for mc, (means, variances) in zip(mcs, embedded, strict=True):
         rep = evaluate(ids, means, labels, config={"mc": mc})
         rows.append({"mc": mc, "stochastic": mc > 0, "micro_map": rep.micro_map,
                      "macro_map": rep.macro_map, "top1": rep.top1,

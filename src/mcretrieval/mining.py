@@ -16,7 +16,7 @@ from .rng import RngStream
 BLOCK_BYTES = 8 << 20
 
 
-def _row_blocks(count: int, row_bytes: int):
+def row_blocks(count: int, row_bytes: int):
     """Slices over count rows, each block at most BLOCK_BYTES (one row at the least)."""
     step = max(1, BLOCK_BYTES // max(row_bytes, 1))
     return (slice(lo, lo + step) for lo in range(0, count, step))
@@ -33,7 +33,7 @@ def pairwise_distances(embeddings, rows=None) -> np.ndarray:
         raise ShapeError(f"embeddings must be [n, d], got {e.shape}")
     q = e if rows is None else e[np.asarray(rows, dtype=np.intp)]
     out = np.empty((q.shape[0], e.shape[0]))
-    for blk in _row_blocks(q.shape[0], e.size * 8):
+    for blk in row_blocks(q.shape[0], e.size * 8):
         diff = q[blk, None, :] - e[None, :, :]
         out[blk] = np.sqrt(np.sum(diff * diff, axis=2))
     return out
@@ -100,7 +100,7 @@ def batch_hard_triplets(embeddings, labels) -> np.ndarray:
     if not anchors.size:
         raise MiningError("every label in the batch is a singleton; no positive pairs exist")
     triplets = np.repeat(anchors[:, None], 3, axis=1)
-    for blk in _row_blocks(anchors.size, n * 8):
+    for blk in row_blocks(anchors.size, n * 8):
         a = anchors[blk]
         triplets[blk, 1] = np.argmax(np.where(pos_mask[a], d[a], -np.inf), axis=1)
         triplets[blk, 2] = np.argmin(np.where(labels[a, None] != labels, d[a], np.inf), axis=1)
@@ -164,7 +164,7 @@ def semi_hard_draw(dist, labels, cap: int, rng: RngStream):
     same = labs[:, None] == labs[None, :]
     a, p = np.nonzero(np.triu(same, 1))
     neg = np.empty_like(a)
-    for blk in _row_blocks(a.size, len(labs) * 8):
+    for blk in row_blocks(a.size, len(labs) * 8):
         rows = a[blk]
         neg[blk] = _semi_hard_rows(dist[rows], dist[rows, p[blk]], ~same[rows])
     triplets = np.stack([a, p, neg], axis=1)[neg >= 0]

@@ -65,24 +65,35 @@ CHUNK_ROWS = 1024
 
 
 def embed_dataset(net, items, notion: str, mc: int, seed: int, modalities=None):
-    """Embed every item with mc dropout passes; item i draws from the block seed + i*ITEM_STREAM_STRIDE.
+    """Embed every item with mc dropout passes: embed_prefixes at the one value mc.
+
+    A sweep calls embed_prefixes once instead, which computes max(mc) passes
+    per item, plus the mc = 0 baseline. Returns (ids, means [n, d], variances [n, d]).
+    """
+    ids, [(means, variances)] = embed_prefixes(net, items, notion, [mc], seed, modalities)
+    return ids, means, variances
+
+
+def embed_prefixes(net, items, notion: str, mc_values, seed: int, modalities=None):
+    """Embed every item at each of mc_values; item i draws from the block seed + i*ITEM_STREAM_STRIDE.
 
     items are (id, payloads) pairs or objects with .id and .payloads.
     modalities, if given, names the modalities to use; every name must be
     one the net encodes. Items carrying the same modalities run together,
-    whole items at a time, at most max(mc, CHUNK_ROWS) rows per no-grad
-    forward. Pass j of item i is one row whose stream is keyed (b, b + j),
-    b = seed + i*ITEM_STREAM_STRIDE, as RngStream(b, b + j) is, so each
-    pass draws what it would draw alone; mc = 0, the baseline, runs dropout
-    Disabled, one row per item and no streams. Returns (ids, means [n, d], variances [n, d]).
+    whole items at a time, at most max(max(mc_values), CHUNK_ROWS) rows per
+    no-grad forward. Pass j of item i is one row whose stream is keyed
+    (b, b + j), b = seed + i*ITEM_STREAM_STRIDE, as RngStream(b, b + j) is,
+    so each pass draws what it would draw alone, whatever mc is. So one run
+    of max(mc_values) passes per item serves every positive value, each
+    aggregated from its prefix of the chunk's rows; mc = 0, the baseline,
+    runs dropout Disabled, one row per item and no streams. Returns
+    (ids, [(means [n, d], variances [n, d]) per value of mc_values, in order]).
     """
-    if mc < 0:
-        raise ValidationError(f"mc must be >= 0, got {mc}")
-    if mc > ITEM_STREAM_STRIDE:
-        raise ValidationError(f"mc must be <= {ITEM_STREAM_STRIDE}")
+    mc_values = list(mc_values)
+    if not mc_values or not all(0 <= mc <= ITEM_STREAM_STRIDE for mc in mc_values):
+        raise ValidationError(f"mc values must lie in 0..{ITEM_STREAM_STRIDE}, got {mc_values}")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
-    spec = DropoutSpec(net.dropout_rate, STOCHASTIC if mc else DISABLED)
     unknown = sorted(set(modalities or ()) - {m.name for m in net.modalities})
     if unknown:
         # a misspelt name must not quietly leave its modality out
@@ -100,25 +111,33 @@ def embed_dataset(net, items, notion: str, mc: int, seed: int, modalities=None):
         # forward_batch keeps only the modalities every row carries
         groups.setdefault(frozenset(payloads), []).append(i)
 
-    passes = max(mc, 1)
-    step = max(1, CHUNK_ROWS // passes)
-    means = np.empty((len(ids), net.embed_dim))
-    variances = np.empty_like(means)
+    # one result per distinct value; a repeated value shares its arrays
+    results = {mc: (np.empty((len(ids), net.embed_dim)), np.empty((len(ids), net.embed_dim)))
+               for mc in mc_values}
+    top = max(results)
     with autodiff.no_grad():
-        for members in groups.values():
-            for start in range(0, len(members), step):
-                chunk = members[start:start + step]
-                batch = [payload_list[i] for i in chunk for _ in range(passes)]
-                rng = None
-                if mc:
-                    # the key of RngStream(b, b + j), which takes both modulo 2**64
-                    blocks = [seed + i * ITEM_STREAM_STRIDE for i in chunk]
-                    rng = RowStreams([(b % 2**64, (b + j) % 2**64) for b in blocks for j in range(mc)])
-                out = net.forward_batch(batch, notion, spec, rng).data
-                for i, rows in zip(chunk, out.reshape(len(chunk), passes, -1)):
-                    agg = aggregate_passes(rows)
-                    means[i], variances[i] = agg.mean, agg.variance
-    return ids, means, variances
+        # the Disabled baseline if 0 is asked for, then one stochastic run of top passes
+        for run in sorted({0, top} & results.keys()):
+            spec = DropoutSpec(net.dropout_rate, STOCHASTIC if run else DISABLED)
+            prefixes = [m for m in results if (m > 0) == (run > 0)]
+            passes = max(run, 1)
+            step = max(1, CHUNK_ROWS // passes)
+            for members in groups.values():
+                for start in range(0, len(members), step):
+                    chunk = members[start:start + step]
+                    batch = [payload_list[i] for i in chunk for _ in range(passes)]
+                    rng = None
+                    if run:
+                        # the key of RngStream(b, b + j), which takes both modulo 2**64
+                        blocks = [seed + i * ITEM_STREAM_STRIDE for i in chunk]
+                        rng = RowStreams([(b % 2**64, (b + j) % 2**64) for b in blocks for j in range(run)])
+                    out = net.forward_batch(batch, notion, spec, rng).data.reshape(len(chunk), passes, -1)
+                    for m in prefixes:
+                        means, variances = results[m]
+                        for i, rows in zip(chunk, out):
+                            agg = aggregate_passes(rows[:max(m, 1)])
+                            means[i], variances[i] = agg.mean, agg.variance
+    return ids, [results[mc] for mc in mc_values]
 
 
 def per_class_uncertainty(variances, labels):
@@ -205,8 +224,8 @@ def read_embeddings(path) -> EmbeddingFile:
             for key in ("id", "notion", "mc", "mean", "variance"):
                 if key not in rec:
                     raise ParseError(f"embedding record missing {key!r}", path=str(path), line=lineno)
-            if isinstance(rec["id"], (list, dict)):
-                raise ParseError(f"id must be a string or number, got {rec['id']!r}",
+            if isinstance(rec["id"], (bool, list, dict)) or rec["id"] is None:
+                raise ParseError(f"id must be a string or number, got {json.dumps(rec['id'])}",
                                  path=str(path), line=lineno)
             if not ids:  # the first record sets the notion and mc every later one repeats
                 notion, mc = rec["notion"], rec["mc"]

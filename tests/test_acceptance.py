@@ -38,7 +38,7 @@ from mcretrieval.mining import (
 from mcretrieval.model import ConditionalNet, ModalitySpec
 from mcretrieval.rng import RngStream
 from mcretrieval.training import build_net, train
-from mcretrieval.uncertainty import dataset_uncertainty, embed_dataset, mc_embed
+from mcretrieval.uncertainty import dataset_uncertainty, embed_dataset, embed_prefixes, mc_embed
 
 MC_GRID = [1, 5, 10, 25, 50]
 EVAL_SEED = 7
@@ -68,7 +68,7 @@ def _study_cfg(seed):
 
 
 def _embed_fn(net, items, notion, seed):
-    return lambda mc: embed_dataset(net, items, notion, mc, seed)
+    return lambda mcs: embed_prefixes(net, items, notion, mcs, seed)
 
 
 @pytest.fixture(scope="session")

@@ -171,6 +171,25 @@ class TestSerialization:
         write_dataset(path, ds)
         assert read_dataset(path).sessions() is None
 
+    def test_bool_or_null_ids_and_bool_sessions_rejected(self, tmp_path):
+        import json
+
+        path = tmp_path / "d.jsonl"
+        write_dataset(path, synth_generate(**tiny_args()))
+        lines = path.read_text().splitlines()
+        for key, value in [("id", True), ("id", False), ("id", None), ("session", True), ("session", False)]:
+            rec = json.loads(lines[2])
+            rec[key] = value
+            path.write_text("\n".join([lines[0], lines[1], json.dumps(rec)]) + "\n")
+            with pytest.raises(ParseError, match=f"item {key} must be") as e:
+                read_dataset(path)
+            assert e.value.line == 3
+        # a null session is no session, as when the key is left out
+        rec = json.loads(lines[1])
+        rec["session"] = None
+        path.write_text("\n".join([lines[0], json.dumps(rec)]) + "\n")
+        assert read_dataset(path).items[0].session is None
+
     def test_parse_errors_carry_line_numbers(self, tmp_path):
         ds = synth_generate(**tiny_args())
         path = tmp_path / "d.jsonl"

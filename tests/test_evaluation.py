@@ -120,12 +120,13 @@ def fake_embed_factory():
     labels = ["A", "A", "A", "B", "B", "B"]
     base_noise = rng.normal(size=(len(labels), 2))
 
-    def embed_fn(mc):
+    def embed_one(mc):
         scale = 1.2 / np.sqrt(mc) if mc else 1.2
         means = np.stack([protos[lab] for lab in labels]) + scale * base_noise
-        variances = np.full_like(means, 1.0 / mc if mc else 0.0)
-        ids = [f"i{k}" for k in range(len(labels))]
-        return ids, means, variances
+        return means, np.full_like(means, 1.0 / mc if mc else 0.0)
+
+    def embed_fn(mcs):
+        return [f"i{k}" for k in range(len(labels))], [embed_one(mc) for mc in mcs]
 
     return embed_fn, labels
 

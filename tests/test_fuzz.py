@@ -29,7 +29,9 @@ CFG = {"embed_dim": 8, "hidden_dim": 8, "epochs": 2, "decay_start": 1, "batch_si
 
 ANY = ["x", 5, None, [], {}, True]
 ITEM = ["x", None, [], {}]  # inside a number array, where numpy would read True as 1.0
-BOXED = [[], {}]  # ids and sessions may be strings or numbers
+# ids and sessions may be strings or numbers; a null session means no session
+IDS = [[], {}, True, False, None]
+SESSIONS = [[], {}, True, False]
 
 # (line, *path) patterns: "R" is any record line after a header, "*" any key
 # or index, a tuple any of its keys; each with the replacements tried there
@@ -40,14 +42,15 @@ TYPED = {
         ((0, "modalities", "*", ("name", "kind", "dim", "frames")), ANY),
         ((0, ("notions", "classes"), "*"), ANY),
         ((0, "classes", "*", "*"), ANY),
-        (("R", ("id", "session")), BOXED),
+        (("R", "id"), IDS),
+        (("R", "session"), SESSIONS),
         (("R", ("labels", "payloads")), ANY),
         (("R", ("labels", "payloads"), "*"), ANY),
         (("R", "payloads", "*", "*"), ITEM),
         (("R", "payloads", "*", "*", "*"), ITEM),
     ],
     "embeddings": [
-        (("*", "id"), BOXED),
+        (("*", "id"), IDS),
         (("*", ("notion", "mc", "mean", "variance")), ANY),
         (("*", ("mean", "variance"), "*"), ITEM),
     ],
@@ -203,6 +206,11 @@ def mutated_text(kind, op, line, path, value):
 @example(case=("checkpoint", "type", 0, ("modalities", 1, "samples"), True))
 @example(case=("checkpoint", "type", 0, ("normalize",), "no"))
 @example(case=("embeddings", "type", 0, ("notion",), None))
+@example(case=("dataset", "type", 1, ("id",), True))
+@example(case=("dataset", "type", 2, ("id",), None))
+@example(case=("dataset", "type", 1, ("session",), False))
+@example(case=("embeddings", "type", 1, ("id",), False))
+@example(case=("embeddings", "type", 0, ("id",), None))
 def test_mutated_file_exits_2_or_3_with_one_line(case):
     kind, op, line, path, value = case
     ws = workspace()

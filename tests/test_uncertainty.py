@@ -7,6 +7,7 @@ import pytest
 
 from mcretrieval import DISABLED, STOCHASTIC, DropoutSpec, ParseError, RngStream, ValidationError
 from mcretrieval import uncertainty
+from mcretrieval.evaluation import evaluate, mc_sweep
 from mcretrieval.model import ConditionalNet, ModalitySpec
 from mcretrieval.rng import RowStreams
 from mcretrieval.uncertainty import (
@@ -14,6 +15,7 @@ from mcretrieval.uncertainty import (
     aggregate_passes,
     dataset_uncertainty,
     embed_dataset,
+    embed_prefixes,
     mc_embed,
     per_class_uncertainty,
     read_embeddings,
@@ -257,6 +259,107 @@ class TestBatchedPasses:
             embed_dataset(net, [("a", p)], "goal", mc=2, seed=-1)
 
 
+def mixed_items(rng, n=6):
+    """Items that alternate between carrying both modalities and only "vec"."""
+    items = []
+    for i in range(n):
+        p = payloads(rng, t=3 + i)
+        items.append((f"it{i}", p if i % 2 else {"vec": p["vec"]}))
+    return items
+
+
+def assert_prefixes_match_single_runs(net, items, mcs, seed, modalities=None, want=None):
+    """Each value's (means, variances) from one prefix run equals a separate embed_dataset at it."""
+    ids, embedded = embed_prefixes(net, items, "goal", mcs, seed, modalities)
+    assert len(embedded) == len(mcs)
+    for mc, (means, variances) in zip(mcs, embedded):
+        want_ids, want_means, want_vars = (want or {}).get(mc) or \
+            embed_dataset(net, items, "goal", mc, seed, modalities)
+        assert ids == want_ids
+        assert np.array_equal(means, want_means), mc
+        assert np.array_equal(variances, want_vars), mc
+
+
+class TestPrefixes:
+    def test_unsorted_values_with_a_duplicate_and_zero(self):
+        net = small_net()
+        items = [(f"it{i}", payloads(np.random.default_rng(20 + i))) for i in range(5)]
+        assert_prefixes_match_single_runs(net, items, [5, 0, 2, 5, 1], seed=3)
+
+    def test_small_chunks_split_items_differently(self, monkeypatch):
+        net = small_net()
+        items = mixed_items(np.random.default_rng(21), n=7)
+        mcs = [3, 1, 6, 0, 2]
+        want = {mc: embed_dataset(net, items, "goal", mc, 4) for mc in mcs}
+        # at 7 rows a 6-pass run holds one item per forward, a 3-pass run two
+        monkeypatch.setattr(uncertainty, "CHUNK_ROWS", 7)
+        sizes = []
+        forward_batch = net.forward_batch
+
+        def recording(batch, *args):
+            sizes.append(len(batch))
+            return forward_batch(batch, *args)
+
+        monkeypatch.setattr(net, "forward_batch", recording)
+        assert_prefixes_match_single_runs(net, items, mcs, seed=4, want=want)
+        del sizes[:]
+        embed_prefixes(net, items, "goal", mcs, 4)
+        # the baseline's one row per item, then 7 items of 6 passes: no forward above max(6, 7) rows
+        assert sum(sizes) == 7 + 7 * 6 and max(sizes) <= 7
+
+    def test_two_modality_sets(self):
+        net = small_net()
+        assert_prefixes_match_single_runs(net, mixed_items(np.random.default_rng(22)), [4, 0, 1], seed=5)
+
+    def test_one_row_forward_differs_only_in_last_bits(self):
+        # a one-item group at mc = 1 runs a one-row forward alone, whose matrix
+        # products take another BLAS path than the prefix run's multi-row ones
+        net = small_net()
+        items = mixed_items(np.random.default_rng(27), n=3)[:2]
+        _, [(prefix, _), _] = embed_prefixes(net, items, "goal", [1, 4], seed=8)
+        _, alone, _ = embed_dataset(net, items, "goal", 1, 8)
+        np.testing.assert_allclose(prefix, alone, rtol=0, atol=1e-15)
+
+    def test_sequence_with_two_cells(self):
+        mods = [ModalitySpec("s", "sequence", 4, hidden_dim=6, samples=3, cells=2)]
+        net = ConditionalNet(mods, ["goal"], embed_dim=7, dropout_rate=0.3, seed=4)
+        rng = np.random.default_rng(23)
+        items = [(f"it{i}", batch_item(rng, mods, t=2 + i)) for i in range(4)]
+        assert_prefixes_match_single_runs(net, items, [0, 7, 3], seed=6)
+
+    def test_modality_filter(self):
+        net = small_net()
+        items = mixed_items(np.random.default_rng(24))
+        assert_prefixes_match_single_runs(net, items, [2, 5, 0], seed=7, modalities=["vec"])
+
+    def test_values_are_checked(self):
+        net = small_net()
+        items = [("a", payloads(np.random.default_rng(25)))]
+        for bad in ([], [3, -1], [ITEM_STREAM_STRIDE + 1]):
+            with pytest.raises(ValidationError):
+                embed_prefixes(net, items, "goal", bad, 0)
+
+    def test_sweep_embeds_once_in_the_given_order(self):
+        net = small_net()
+        rng = np.random.default_rng(26)
+        items = [(f"it{i}", payloads(rng)) for i in range(6)]
+        labels = ["a", "b", "a", "b", "a", "b"]
+        calls = []
+
+        def embed_fn(mcs):
+            calls.append(list(mcs))
+            return embed_prefixes(net, items, "goal", mcs, 9)
+
+        rows = mc_sweep(embed_fn, [4, 1, 4, 2], labels)
+        assert calls == [[0, 4, 1, 4, 2]]
+        assert [r["mc"] for r in rows] == [0, 4, 1, 4, 2]
+        for row in rows:
+            ids, means, variances = embed_dataset(net, items, "goal", row["mc"], 9)
+            rep = evaluate(ids, means, labels)
+            assert (row["micro_map"], row["macro_map"], row["top1"]) == (rep.micro_map, rep.macro_map, rep.top1)
+            assert row["mean_variance"] == float(np.mean(variances))
+
+
 class TestSummaries:
     def test_per_class_rows(self):
         variances = np.array([[0.2, 0.4], [0.4, 0.6], [1.0, 3.0]])
@@ -329,6 +432,18 @@ class TestSerialization:
         with pytest.raises(ParseError) as exc:
             read_embeddings(path)
         assert exc.value.line == 3
+
+    @pytest.mark.parametrize("bad", [True, False, None])
+    def test_bool_or_null_id_is_parse_error(self, tmp_path, bad):
+        path = tmp_path / "emb.jsonl"
+        write_embeddings(path, ["a", "b"], np.zeros((2, 2)), np.ones((2, 2)), "goal", 5)
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[1])
+        rec["id"] = bad
+        path.write_text("\n".join([lines[0], json.dumps(rec)]) + "\n")
+        with pytest.raises(ParseError, match="id must be a string or number") as exc:
+            read_embeddings(path)
+        assert exc.value.line == 2
 
     def test_duplicate_id_is_parse_error(self, tmp_path):
         path = tmp_path / "emb.jsonl"
