@@ -5,9 +5,12 @@ typo cannot silently fall back to a default. Every report echoes the
 config it was produced under.
 """
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
+
+import numpy as np
 
 from .errors import ParseError, ValidationError
 
@@ -118,3 +121,20 @@ def check_json_types(cls, doc: dict, what: str) -> dict:
             kind = "a finite number" if want is float else f"of type {want.__name__}"
             raise ValidationError(f"{what} {f.name!r} must be {kind}, got {value!r}")
     return doc
+
+
+def number_array(raw, what: str) -> np.ndarray:
+    """raw as a rectangular float64 array of finite JSON numbers (no bool or string), else a ValidationError."""
+    try:
+        arr = np.array(raw, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ValidationError(f"{what} must be a rectangular array of numbers: {e}") from None
+    elements = [raw]
+    for _ in range(arr.ndim):
+        elements = itertools.chain.from_iterable(elements)
+    strays = set(map(type, elements)) - {int, float}
+    if strays:
+        raise ValidationError(f"{what} must hold only numbers, got a {min(t.__name__ for t in strays)}")
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{what} holds a non-finite number")
+    return arr

@@ -6,11 +6,12 @@ sequence modalities); labels are one class per notion per item.
 """
 
 import json
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .config import check_json_types
+from .config import check_json_types, number_array
 from .errors import ParseError, ValidationError
 from .model import SEQUENCE, VECTOR
 from .rng import RngStream
@@ -69,29 +70,38 @@ class DatasetFile:
         for m in self.modalities:
             if m.name == name:
                 return m
-        raise ValidationError(f"unknown modality {name!r}")
+        raise ValidationError(f"undeclared modality {name!r}")
 
     def validate(self):
-        names = {m.name for m in self.modalities}
-        if len(names) != len(self.modalities):
+        if len({m.name for m in self.modalities}) != len(self.modalities):
             raise ValidationError("duplicate modality names")
         seen = set()
         for it in self.items:
-            if it.id in seen:
-                raise ValidationError(f"duplicate item id {it.id!r}")
-            seen.add(it.id)
-            for notion in self.notions:
-                if it.labels.get(notion) not in self.classes[notion]:
-                    raise ValidationError(f"item {it.id}: bad label for {notion!r}")
-            for name, payload in it.payloads.items():
-                spec = self.modality(name)
-                payload = np.asarray(payload)
-                if spec.kind == VECTOR:
-                    if payload.shape != (spec.dim,):
-                        raise ValidationError(f"item {it.id}: {name} payload must be [{spec.dim}]")
-                elif payload.ndim != 2 or payload.shape[1] != spec.dim:
-                    raise ValidationError(f"item {it.id}: {name} payload must be [T, {spec.dim}]")
+            self.check_item(it, seen)
         return self
+
+    def check_item(self, it: Item, seen: set):
+        """A ValidationError for the first bad id, session, label or payload of it; else seen gains its id."""
+        check_id(it.id, seen)
+        if isinstance(it.session, (bool, list, dict)):  # None is no session
+            raise ValidationError(f"item session must be a string or number, got {json.dumps(it.session)}")
+        for notion in self.notions:
+            if it.labels.get(notion) not in self.classes[notion]:
+                raise ValidationError(f"item {it.id}: bad label for {notion!r}")
+        for name, payload in it.payloads.items():
+            spec, shape = self.modality(name), np.shape(payload)
+            if shape != (spec.dim,) if spec.kind == VECTOR else len(shape) != 2 or shape[1] != spec.dim:
+                want = f"[{spec.dim}]" if spec.kind == VECTOR else f"[T, {spec.dim}]"
+                raise ValidationError(f"item {it.id}: {name} payload must be {want}")
+
+
+def check_id(value, seen: set):
+    """Add an item id to seen; an id is a string or number (not a bool) that seen does not hold yet."""
+    if isinstance(value, (bool, list, dict)) or value is None:
+        raise ValidationError(f"item id must be a string or number, got {json.dumps(value)}")
+    if value in seen:
+        raise ValidationError(f"duplicate id {value!r}")
+    seen.add(value)
 
 
 # --- serialization ---
@@ -101,10 +111,7 @@ def write_dataset(path, ds: DatasetFile):
     ds.validate()
     header = {
         "format": DATASET_FORMAT,
-        "modalities": [
-            {"name": m.name, "kind": m.kind, "dim": m.dim, "frames": m.frames}
-            for m in ds.modalities
-        ],
+        "modalities": [asdict(m) for m in ds.modalities],
         "notions": list(ds.notions),
         "classes": {n: list(cs) for n, cs in ds.classes.items()},
         "sessions": ds.has_sessions,
@@ -126,86 +133,74 @@ def write_dataset(path, ds: DatasetFile):
             f.write("\n")
 
 
-def _parse_err(msg, path, line):
-    raise ParseError(msg, path=str(path), line=line)
+@contextmanager
+def at_line(path, lineno: int):
+    """Re-raise a ValidationError, JSON or UTF-8 decoding error from the block as a ParseError at path:lineno."""
+    try:
+        yield
+    except (ValidationError, json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise ParseError(str(e), path=str(path), line=lineno) from None
+
+
+def json_lines(path):
+    """(line number, object) for each non-blank line; a line that is no JSON object, or no such line, is a ParseError."""
+    empty = True
+    with open(path, "rb") as f:  # bytes, so that a line that is not UTF-8 fails inside at_line
+        for lineno, line in enumerate(f, start=1):
+            if line.strip():
+                with at_line(path, lineno):
+                    rec = json.loads(line)
+                    if not isinstance(rec, dict):
+                        raise ValidationError("record must be a JSON object")
+                empty = False
+                yield lineno, rec
+    if empty:
+        with at_line(path, 1):
+            raise ValidationError("no records in the file")
 
 
 def read_dataset(path) -> DatasetFile:
-    with open(path) as f:
-        lines = f.read().splitlines()
-    if not lines:
-        _parse_err("empty dataset file", path, 1)
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as e:
-        _parse_err(str(e), path, 1)
-    if not isinstance(header, dict) or header.get("format") != DATASET_FORMAT:
-        _parse_err(f"expected header with format={DATASET_FORMAT!r}", path, 1)
-    for key in ("modalities", "notions", "classes"):
-        if key not in header:
-            _parse_err(f"header missing {key!r}", path, 1)
-    try:
-        docs = [check_json_types(ModalityFormat, m, "modality field") for m in header["modalities"]]
-        modalities = [ModalityFormat(m["name"], m["kind"], m["dim"], m.get("frames", 1)) for m in docs]
-        DatasetFile(modalities, [], {}).validate()  # duplicate names; there are no items yet
-    except (KeyError, TypeError, ValidationError) as e:
-        _parse_err(f"bad modality declaration: {e}", path, 1)
-    notions, classes = header["notions"], header["classes"]
-    if not (isinstance(notions, list) and all(isinstance(n, str) for n in notions)):
-        _parse_err("'notions' must be a list of strings", path, 1)
-    if not (isinstance(classes, dict) and all(isinstance(cs, list) for cs in classes.values())
-            and not any(isinstance(c, (list, dict)) for cs in classes.values() for c in cs)):
-        _parse_err("'classes' must be an object of lists of strings or numbers", path, 1)
-    if set(notions) != set(classes):
-        _parse_err("notions and class vocabularies disagree", path, 1)
-
-    by_name = {m.name: m for m in modalities}
-    items = []
-    seen = set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    """Read a file written by write_dataset; every malformed line is a ParseError with its number."""
+    records = json_lines(path)
+    lineno, header = next(records)
+    with at_line(path, lineno):
+        if header.get("format") != DATASET_FORMAT:
+            raise ValidationError(f"expected header with format={DATASET_FORMAT!r}")
+        for key in ("modalities", "notions", "classes"):
+            if key not in header:
+                raise ValidationError(f"header missing {key!r}")
+        if not isinstance(header.get("sessions", False), bool):
+            raise ValidationError(f"header 'sessions' must be a bool, got {json.dumps(header['sessions'])}")
+        notions, classes = header["notions"], header["classes"]
+        if not (isinstance(notions, list) and all(isinstance(n, str) for n in notions)):
+            raise ValidationError("'notions' must be a list of strings")
+        if not (isinstance(classes, dict) and all(isinstance(cs, list) for cs in classes.values())
+                and not any(isinstance(c, (list, dict)) for cs in classes.values() for c in cs)):
+            raise ValidationError("'classes' must be an object of lists of strings or numbers")
+        if set(notions) != set(classes):
+            raise ValidationError("notions and class vocabularies disagree")
         try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as e:
-            _parse_err(str(e), path, lineno)
-        if not isinstance(rec, dict):
-            _parse_err("record must be a JSON object", path, lineno)
-        for key in ("id", "labels", "payloads"):
-            if key not in rec:
-                _parse_err(f"record missing {key!r}", path, lineno)
-        # a null session is no session, as when the writer leaves the key out
-        for key in ("id", "session"):
-            if isinstance(rec.get(key), (bool, list, dict)) or key == "id" and rec[key] is None:
-                _parse_err(f"item {key} must be a string or number, got {json.dumps(rec[key])}", path, lineno)
-        if rec["id"] in seen:
-            _parse_err(f"duplicate item id {rec['id']!r}", path, lineno)
-        seen.add(rec["id"])
-        for key in ("labels", "payloads"):
-            if not isinstance(rec[key], dict):
-                _parse_err(f"{key!r} must be a JSON object", path, lineno)
-        for notion in notions:
-            if rec["labels"].get(notion) not in classes[notion]:
-                _parse_err(f"bad label for notion {notion!r}", path, lineno)
-        payloads = {}
-        for name, raw in rec["payloads"].items():
-            spec = by_name.get(name)
-            if spec is None:
-                _parse_err(f"undeclared modality {name!r}", path, lineno)
-            try:
-                arr = np.array(raw, dtype=np.float64)
-            except (TypeError, ValueError) as e:
-                _parse_err(f"{name} payload must be a rectangular array of numbers: {e}", path, lineno)
-            if spec.kind == VECTOR:
-                if arr.shape != (spec.dim,):
-                    _parse_err(f"{name} payload must have dim {spec.dim}", path, lineno)
-            elif arr.ndim != 2 or arr.shape[1] != spec.dim:
-                _parse_err(f"{name} payload must be [T, {spec.dim}]", path, lineno)
-            if not np.isfinite(arr).all():
-                _parse_err(f"{name} payload holds a non-finite number", path, lineno)
-            payloads[name] = arr
-        items.append(Item(rec["id"], rec["labels"], payloads, rec.get("session")))
-    return DatasetFile(modalities, notions, classes, items)
+            modalities = [ModalityFormat(**check_json_types(ModalityFormat, m, "modality field"))
+                          for m in header["modalities"]]
+            ds = DatasetFile(modalities, notions, classes).validate()
+        except (TypeError, ValidationError) as e:
+            raise ValidationError(f"bad modality declaration: {e}") from None
+
+    seen = set()
+    for lineno, rec in records:
+        with at_line(path, lineno):
+            for key in ("id", "labels", "payloads"):
+                if key not in rec:
+                    raise ValidationError(f"record missing {key!r}")
+            for key in ("labels", "payloads"):
+                if not isinstance(rec[key], dict):
+                    raise ValidationError(f"{key!r} must be a JSON object")
+            payloads = {name: number_array(raw, f"{name} payload") for name, raw in rec["payloads"].items()}
+            # a null session is no session, as when the writer leaves the key out
+            item = Item(rec["id"], rec["labels"], payloads, rec.get("session"))
+            ds.check_item(item, seen)
+        ds.items.append(item)
+    return ds
 
 
 # --- synthetic generator ---

@@ -25,7 +25,7 @@ from .autodiff import (
     relu,
     rnn_steps,
 )
-from .config import check_json_types
+from .config import check_json_types, number_array
 from .errors import ParseError, ShapeError, ValidationError
 from .rng import RngStream
 
@@ -317,9 +317,7 @@ class ConditionalNet:
                     raise ValidationError(
                         f"checkpoint parameter {name} has shape {shape}, expected {p.data.shape}"
                     )
-                p.data = np.array(stored[name]["data"], dtype=np.float64).reshape(shape)
-                if not np.isfinite(p.data).all():
-                    raise ValidationError(f"checkpoint parameter {name} holds a non-finite number")
+                p.data = number_array(stored[name]["data"], f"checkpoint parameter {name}").reshape(shape)
         except KeyError as e:
             raise ValidationError(f"checkpoint is missing key {e}") from None
         except (TypeError, ValueError) as e:

@@ -13,7 +13,9 @@ import numpy as np
 
 from . import autodiff
 from .autodiff import DISABLED, STOCHASTIC, DropoutSpec
-from .errors import ParseError, ValidationError
+from .config import number_array
+from .data import at_line, check_id, json_lines
+from .errors import ValidationError
 from .rng import RowStreams
 
 
@@ -210,48 +212,22 @@ def read_embeddings(path) -> EmbeddingFile:
     """Read a file written by write_embeddings; every malformed record is a ParseError with its line."""
     ids, means, variances = [], [], []
     seen = set()
-    notion, mc = None, None
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(str(e), path=str(path), line=lineno) from None
-            if not isinstance(rec, dict):
-                raise ParseError("embedding record must be a JSON object", path=str(path), line=lineno)
+    for lineno, rec in json_lines(path):
+        with at_line(path, lineno):
             for key in ("id", "notion", "mc", "mean", "variance"):
                 if key not in rec:
-                    raise ParseError(f"embedding record missing {key!r}", path=str(path), line=lineno)
-            if isinstance(rec["id"], (bool, list, dict)) or rec["id"] is None:
-                raise ParseError(f"id must be a string or number, got {json.dumps(rec['id'])}",
-                                 path=str(path), line=lineno)
-            if not ids:  # the first record sets the notion and mc every later one repeats
+                    raise ValidationError(f"embedding record missing {key!r}")
+            check_id(rec["id"], seen)
+            if not means:  # the first record sets the notion and mc every later one repeats
                 notion, mc = rec["notion"], rec["mc"]
             elif rec["notion"] != notion or rec["mc"] != mc:
-                raise ParseError(
-                    f"record disagrees with file header: notion={rec['notion']!r} mc={rec['mc']}",
-                    path=str(path), line=lineno,
-                )
-            if rec["id"] in seen:
-                raise ParseError(f"duplicate id {rec['id']!r}", path=str(path), line=lineno)
-            seen.add(rec["id"])
-            try:
-                mean = np.array(rec["mean"], dtype=np.float64)
-                var = np.array(rec["variance"], dtype=np.float64)
-            except (TypeError, ValueError) as e:
-                raise ParseError(f"embedding values must be numbers: {e}", path=str(path), line=lineno) from None
+                raise ValidationError(f"record disagrees with file header: notion={rec['notion']!r} mc={rec['mc']}")
+            mean, var = number_array(rec["mean"], "mean"), number_array(rec["variance"], "variance")
             want = means[0].shape if means else (mean.size,)
             if mean.shape != want or var.shape != want:
-                raise ParseError(f"mean {mean.shape} and variance {var.shape} must both be {want}",
-                                 path=str(path), line=lineno)
-            if not (np.isfinite(mean).all() and np.isfinite(var).all()):
-                raise ParseError("embedding values must be finite", path=str(path), line=lineno)
-            ids.append(rec["id"])
-            means.append(mean)
-            variances.append(var)
-    if not ids:
-        raise ParseError("no embedding records found", path=str(path), line=1)
+                raise ValidationError(f"mean {mean.shape} and variance {var.shape} must both be {want}")
+        ids.append(rec["id"])
+        means.append(mean)
+        variances.append(var)
     return EmbeddingFile(ids=ids, means=np.array(means), variances=np.array(variances),
                          notion=notion, mc=mc)

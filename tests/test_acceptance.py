@@ -85,8 +85,11 @@ def study():
         notions = {}
         for notion in ds.notions:
             labels = [it.labels[notion] for it in te.items]
-            rows = mc_sweep(_embed_fn(joint, items, notion, EVAL_SEED), MC_GRID, labels)
-            _, _, variances = embed_dataset(joint, items, notion, 50, EVAL_SEED)
+            # one prefix run feeds the sweep and the uncertainty at mc = 50
+            mcs = [0, *MC_GRID]
+            ids, embedded = embed_prefixes(joint, items, notion, mcs, EVAL_SEED)
+            rows = mc_sweep(lambda _: (ids, embedded), MC_GRID, labels)
+            _, variances = embedded[mcs.index(50)]
             spec_net = train(tr, _study_cfg(seed), notions=[notion]).net
             ids, means, _ = embed_dataset(spec_net, items, notion, 50, EVAL_SEED)
             notions[notion] = {

@@ -1,10 +1,16 @@
 """Command-line pipeline: every subcommand, happy path and exit codes."""
 
+import contextlib
+import io
 import json
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcretrieval.cli import build_parser, main
 from mcretrieval.evaluation import average_precision, evaluate
@@ -48,6 +54,32 @@ def one_error_line(capsys, prefix, *says):
     err = capsys.readouterr().err
     assert err.startswith(prefix) and err.count("\n") == 1, err
     assert all(s in err for s in says), err
+
+
+@settings(max_examples=10, deadline=None, database=None)
+@given(cfg=st.fixed_dictionaries({
+    "embed_dim": st.integers(2, 8), "hidden_dim": st.integers(2, 8),
+    "dropout": st.sampled_from([0.0, 0.1, 0.4]), "frame_samples": st.integers(1, 4),
+    "miner": st.sampled_from(["semi-hard", "batch-hard"]), "loss": st.sampled_from(["triplet", "soft-margin"]),
+    "weight_decay": st.sampled_from([0.0, 1e-3]), "mask_l1": st.sampled_from([0.0, 1e-3]),
+    "seed": st.integers(0, 2**63),
+}), sessions=st.sampled_from(["0", "3"]), mc=st.integers(0, 4))
+def test_same_seed_same_bytes_for_train_and_embed(cfg, sessions, mc):
+    cfg = {**FAST_CFG, **cfg}
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        root = Path(tmp)
+        data = root / "data.jsonl"
+        (root / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["synth", "--preset", "noiseless", "--items", "24", "--sessions", sessions,
+                     "--out", str(data)]) == 0
+        for run in ("a", "b"):
+            assert main(["train", "--dataset", str(data), "--config", str(root / "cfg.json"),
+                         "--out", str(root / run)]) == 0
+            assert main(["embed", "--dataset", str(data), "--checkpoint", str(root / run / "checkpoint.json"),
+                         "--notion", "goal", "--mc", str(mc), "--seed", str(cfg["seed"]),
+                         "--out", str(root / run / "emb.jsonl")]) == 0
+        for name in ("checkpoint.json", "history.json", "emb.jsonl"):
+            assert (root / "a" / name).read_bytes() == (root / "b" / name).read_bytes(), name
 
 
 class TestSynth:
@@ -130,6 +162,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("header", [
         {"notions": 5}, {"classes": [1]}, {"classes": {"goal": 5, "stimulus": ["stimulus0"]}},
+        {"sessions": "x"}, {"sessions": 1},
     ])
     def test_bad_header_types_exit_with_one_line(self, workspace, tmp_path, capsys, header):
         lines = workspace["data"].read_text().splitlines()
@@ -366,7 +399,7 @@ class TestEvalSweepUncertaintyAblate:
     @pytest.mark.parametrize("case,code", [
         ("truncated", 3), ("missing_key", 2), ("not_an_object", 2),
         ("wrong_dim_type", 2), ("wrong_param_type", 2), ("infinite_param", 2),
-        ("float_samples", 2), ("bool_samples", 2),
+        ("float_samples", 2), ("bool_samples", 2), ("bool_param", 2),
     ])
     def test_malformed_checkpoint_exits_with_one_line(self, workspace, tmp_path, capsys, case, code):
         text = workspace["ckpt"].read_text()
@@ -382,6 +415,8 @@ class TestEvalSweepUncertaintyAblate:
                 {**m, "samples": 2.0} for m in doc["modalities"]]}),
             "bool_samples": json.dumps({**doc, "modalities": [
                 {**m, "samples": True} for m in doc["modalities"]]}),
+            "bool_param": json.dumps({**doc, "params": {
+                k: {"shape": v["shape"], "data": [True, *v["data"][1:]]} for k, v in doc["params"].items()}}),
             "infinite_param": json.dumps({**doc, "params": {
                 k: {"shape": v["shape"], "data": np.full(v["shape"], np.inf).tolist()}
                 for k, v in doc["params"].items()}}),

@@ -1,5 +1,7 @@
 """Dataset format round-trips and generator statistics."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,11 @@ class TestSerialization:
             read_dataset(bad)
         assert e.value.line == 1
 
+        bad.write_bytes(lines[0].encode() + b'\n{"id": "\xff"}\n')  # not UTF-8
+        with pytest.raises(ParseError, match="utf-8") as e:
+            read_dataset(bad)
+        assert e.value.line == 2
+
         rec = lines[1].replace('"goal0"', '"goal9"').replace('"goal1"', '"goal9"').replace('"goal2"', '"goal9"')
         bad.write_text(lines[0] + "\n" + rec + "\n")
         with pytest.raises(ParseError, match="label"):
@@ -245,3 +252,59 @@ class TestSerialization:
         ])
         with pytest.raises(ValidationError, match="duplicate"):
             ds.validate()
+
+    @pytest.mark.parametrize("name,where", [("vec", (4,)), ("seq", (1, 2))])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_in_payload_is_parse_error(self, tmp_path, name, where, flag):
+        path = tmp_path / "d.jsonl"
+        write_dataset(path, synth_generate(**tiny_args()))
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[2])
+        row = rec["payloads"][name]
+        for i in where[:-1]:
+            row = row[i]
+        row[where[-1]] = flag
+        lines[2] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"{name} payload must hold only numbers, got a bool") as e:
+            read_dataset(path)
+        assert e.value.line == 3
+
+    @pytest.mark.parametrize("flag", ["x", 1, 0, None, [], {}])
+    def test_header_sessions_flag_must_be_a_bool(self, tmp_path, flag):
+        path = tmp_path / "d.jsonl"
+        write_dataset(path, synth_generate(**tiny_args()))
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["sessions"] = flag
+        path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+        with pytest.raises(ParseError, match="header 'sessions' must be a bool") as e:
+            read_dataset(path)
+        assert e.value.line == 1
+        # the flag may be left out
+        del header["sessions"]
+        path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+        assert len(read_dataset(path).items) == 14
+
+    @pytest.mark.parametrize("edit,says", [
+        (lambda rec: rec["labels"].update(goal="goal9"), "bad label for 'goal'"),
+        (lambda rec: rec["payloads"].update(img=[1.0]), "undeclared modality 'img'"),
+        (lambda rec: rec["payloads"].update(vec=[1.0, 2.0]), r"vec payload must be \[6\]"),
+        (lambda rec: rec["payloads"].update(seq=[[1.0, 2.0]] * 3), r"seq payload must be \[T, 4\]"),
+        (lambda rec: rec.update(id="it0000"), "duplicate id 'it0000'"),
+    ], ids=["label", "undeclared_modality", "vector_dim", "sequence_width", "duplicate_id"])
+    def test_validate_and_reader_reject_the_same_mistakes(self, tmp_path, edit, says):
+        ds = synth_generate(**tiny_args())
+        path = tmp_path / "d.jsonl"
+        write_dataset(path, ds)
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[2])  # the second item
+        edit(rec)
+        ds.items[1] = Item(rec["id"], rec["labels"], rec["payloads"], rec.get("session"))
+        with pytest.raises(ValidationError, match=says):
+            ds.validate()
+        lines[2] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=says) as e:
+            read_dataset(path)
+        assert e.value.line == 3

@@ -28,7 +28,7 @@ CFG = {"embed_dim": 8, "hidden_dim": 8, "epochs": 2, "decay_start": 1, "batch_si
        "triplet_cap": 100, "seed": 1, "p_classes": 2, "k_per_class": 2, "frame_samples": 2}
 
 ANY = ["x", 5, None, [], {}, True]
-ITEM = ["x", None, [], {}]  # inside a number array, where numpy would read True as 1.0
+ITEM = ["x", None, [], {}, True]  # inside a number array; numpy alone would read True as 1.0
 # ids and sessions may be strings or numbers; a null session means no session
 IDS = [[], {}, True, False, None]
 SESSIONS = [[], {}, True, False]
@@ -37,7 +37,7 @@ SESSIONS = [[], {}, True, False]
 # or index, a tuple any of its keys; each with the replacements tried there
 TYPED = {
     "dataset": [
-        ((0, ("format", "modalities", "notions", "classes")), ANY),
+        ((0, ("format", "modalities", "notions", "classes", "sessions")), ANY),
         ((0, "modalities", "*"), ANY),
         ((0, "modalities", "*", ("name", "kind", "dim", "frames")), ANY),
         ((0, ("notions", "classes"), "*"), ANY),
@@ -211,6 +211,13 @@ def mutated_text(kind, op, line, path, value):
 @example(case=("dataset", "type", 1, ("session",), False))
 @example(case=("embeddings", "type", 1, ("id",), False))
 @example(case=("embeddings", "type", 0, ("id",), None))
+@example(case=("dataset", "type", 1, ("payloads", "vec", 0), True))
+@example(case=("dataset", "type", 2, ("payloads", "seq", 3, 5), True))
+@example(case=("embeddings", "type", 0, ("mean", 0), True))
+@example(case=("embeddings", "type", 1, ("variance", 2), False))
+@example(case=("checkpoint", "type", 0, ("params", "mask.goal", "data", 0), True))
+@example(case=("dataset", "type", 0, ("sessions",), "x"))
+@example(case=("dataset", "type", 0, ("sessions",), 1))
 def test_mutated_file_exits_2_or_3_with_one_line(case):
     kind, op, line, path, value = case
     ws = workspace()

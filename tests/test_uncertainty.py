@@ -412,6 +412,10 @@ class TestSerialization:
             read_embeddings(path)
         assert exc.value.line == 2
         assert "emb.jsonl:2:" in str(exc.value)
+        path.write_bytes(lines[0].encode() + b'\n{"id": "\xff"}\n')  # not UTF-8
+        with pytest.raises(ParseError, match="utf-8") as exc:
+            read_embeddings(path)
+        assert exc.value.line == 2
 
     def test_missing_key_is_parse_error(self, tmp_path):
         path = tmp_path / "emb.jsonl"
@@ -442,6 +446,20 @@ class TestSerialization:
         rec["id"] = bad
         path.write_text("\n".join([lines[0], json.dumps(rec)]) + "\n")
         with pytest.raises(ParseError, match="id must be a string or number") as exc:
+            read_embeddings(path)
+        assert exc.value.line == 2
+
+    @pytest.mark.parametrize("field", ["mean", "variance"])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_in_row_is_parse_error(self, tmp_path, field, flag):
+        path = tmp_path / "emb.jsonl"
+        write_embeddings(path, ["a", "b"], np.zeros((2, 3)), np.ones((2, 3)), "goal", 5)
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[1])
+        rec[field][1] = flag
+        lines[1] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"{field} must hold only numbers, got a bool") as exc:
             read_embeddings(path)
         assert exc.value.line == 2
 
