@@ -3,9 +3,6 @@
 __version__ = "0.1.0"
 
 from .autodiff import (
-    DISABLED,
-    STOCHASTIC,
-    DropoutSpec,
     Parameter,
     Tensor,
     dense_forward,

@@ -7,12 +7,10 @@ requires them. All arithmetic is float64 throughout.
 """
 
 import contextlib
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, ShapeError, ValidationError
-from .rng import RngStream
+from .errors import ContractError, ShapeError
 
 _grad_enabled = True
 
@@ -296,37 +294,14 @@ def l2_normalize(x, eps: float = 1e-12) -> Tensor:
     return _node(data, (x,), backward)
 
 
-DISABLED = "disabled"
-STOCHASTIC = "stochastic"
-
-
-@dataclass(frozen=True)
-class DropoutSpec:
-    """Dropout rate plus mode; Disabled mode is an exact identity."""
-
-    rate: float
-    mode: str = DISABLED
-
-    def __post_init__(self):
-        if not (0.0 <= self.rate < 1.0):
-            raise ValidationError(f"dropout rate must lie in [0, 1), got {self.rate}")
-        if self.mode not in (DISABLED, STOCHASTIC):
-            raise ValidationError(f"unknown dropout mode {self.mode!r}")
-
-    @property
-    def stochastic(self) -> bool:
-        return self.mode == STOCHASTIC
-
-
-def dropout_apply(x, spec: DropoutSpec, rng: RngStream = None) -> Tensor:
-    """Inverted dropout: keep each unit with probability 1-rate, scale kept units by 1/(1-rate)."""
+def dropout_apply(x, rate: float, rng=None) -> Tensor:
+    """Inverted dropout drawn from the mask source rng: keep each unit with probability 1-rate,
+    scale kept units by 1/(1-rate). Without a source it is the identity."""
     x = _wrap(x)
-    if not spec.stochastic:
-        return x
     if rng is None:
-        raise ValidationError("stochastic dropout needs an RngStream")
-    keep = rng.uniform(x.data.shape) >= spec.rate
-    scale = keep / (1.0 - spec.rate)
+        return x
+    keep = rng.uniform(x.data.shape) >= rate
+    scale = keep / (1.0 - rate)
     data = x.data * scale
 
     def backward(out):
@@ -347,10 +322,10 @@ def dense_forward(x, weight, bias) -> Tensor:
     return add(matmul(x, weight), bias)
 
 
-def rnn_steps(xs, w_in, w_rec, bias, spec: DropoutSpec = None, rng: RngStream = None) -> Tensor:
+def rnn_steps(xs, w_in, w_rec, bias, rate: float = 0.0, rng=None) -> Tensor:
     """Elman recurrence h_t = tanh(W_x drop(x_t) + W_h h_{t-1} + b) over a list of step inputs.
 
-    h_0 is zero; dropout sits on the input path only. Returns the final hidden state.
+    h_0 is zero; dropout at rate, drawn from rng, sits on the input path only. Returns the final hidden state.
     """
     if not xs:
         raise ShapeError("rnn needs at least one step")
@@ -363,9 +338,7 @@ def rnn_steps(xs, w_in, w_rec, bias, spec: DropoutSpec = None, rng: RngStream = 
     lead = first.data.shape[:-1]  # () for a single item, (batch,) for a batch
     h = Tensor(np.zeros(lead + (hidden,)))
     for x in xs:
-        x = _wrap(x)
-        if spec is not None:
-            x = dropout_apply(x, spec, rng)
+        x = dropout_apply(x, rate, rng)
         h = tanh(add(add(matmul(x, w_in), matmul(h, w_rec)), bias))
     return h
 

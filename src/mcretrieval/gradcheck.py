@@ -22,9 +22,9 @@ class GradCheckReport:
 def grad_check(f, params, h: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
     """Compare reverse-mode gradients of f() against central finite differences.
 
-    f must be a deterministic scalar-valued closure over params (dropout
-    Disabled, or stochastic with a stream rebuilt identically on every
-    call so the mask is frozen). A failing check is a report outcome,
+    f must be a deterministic scalar-valued closure over params (no mask
+    source, or a stream rebuilt identically on every call so the mask is
+    frozen). A failing check is a report outcome,
     not an exception.
     """
     params = list(params)

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import autodiff
 from .autodiff import (
-    DropoutSpec,
     Parameter,
     Tensor,
     dense_forward,
@@ -62,24 +61,19 @@ class ModalitySpec:
                 raise ValidationError(f"cells must divide input and hidden dims for {self.name}")
 
 
-def sample_frame_indices(length, n: int, spec: DropoutSpec, rng):
-    """Frame picks for one pass, ascending: [n] for one sequence length, one row per length for a list.
+def sample_frame_indices(lengths, n: int, rng=None):
+    """One row of n ascending frame picks per sequence length.
 
-    Stochastic mode draws uniformly (without replacement when the
-    sequence is long enough) with one rng.frame_picks call; Disabled
-    mode is rng-free and picks evenly spaced frames so deterministic
-    passes stay bit-reproducible. A zero dropout rate makes Stochastic
-    a no-op, so it falls back to the same deterministic grid and the
-    whole forward collapses to the baseline.
+    With a mask source the picks are drawn uniformly (without replacement
+    when the sequence is long enough) with one rng.frame_picks call;
+    without one they are evenly spaced and rng-free, so deterministic
+    passes stay bit-reproducible.
     """
-    lengths = np.atleast_1d(length)
-    if lengths.min() < 1:
+    if min(lengths) < 1:
         raise ValidationError("empty sequence payload")
-    if not spec.stochastic or spec.rate == 0.0:
-        picks = [_frame_grid(int(t), n) for t in lengths]
-    else:
-        picks = rng.frame_picks(lengths, n)
-    return picks if np.ndim(length) else picks[0]
+    if rng is None:
+        return [_frame_grid(t, n) for t in lengths]
+    return rng.frame_picks(lengths, n)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -113,7 +107,8 @@ class ConditionalNet:
             raise ValidationError("duplicate notion names")
         if embed_dim < 1:
             raise ValidationError(f"embed_dim must be positive, got {embed_dim}")
-        DropoutSpec(dropout_rate)  # range check
+        if not 0.0 <= dropout_rate < 1.0:
+            raise ValidationError(f"dropout rate must lie in [0, 1), got {dropout_rate}")
         self.modalities = list(modalities)
         self.notions = list(notions)
         self.embed_dim = embed_dim
@@ -174,21 +169,21 @@ class ConditionalNet:
                 return m
         raise ValidationError(f"unknown modality {name!r}; have {[m.name for m in self.modalities]}")
 
-    def _encode_vector(self, m, x, spec, rng):
+    def _encode_vector(self, m, x, rng):
         pre = f"enc.{m.name}"
-        h = dropout_apply(x, spec, rng)
+        h = dropout_apply(x, self.dropout_rate, rng)
         h = dense_forward(h, self.params[f"{pre}.w0"], self.params[f"{pre}.b0"])
         if m.hidden_dim:
             h = autodiff.tanh(h)
-            h = dropout_apply(h, spec, rng)
+            h = dropout_apply(h, self.dropout_rate, rng)
             h = dense_forward(h, self.params[f"{pre}.w1"], self.params[f"{pre}.b1"])
         return h
 
-    def _encode_frame(self, m, x, spec, rng):
+    def _encode_frame(self, m, x, rng):
         # shared dense over cells; cells == 1 is a plain frame encoder
         pre = f"enc.{m.name}"
         lead = x.data.shape[:-1]
-        h = dropout_apply(x, spec, rng)
+        h = dropout_apply(x, self.dropout_rate, rng)
         if m.cells > 1:
             h = autodiff.reshape(h, (-1, m.input_dim // m.cells))
         h = dense_forward(h, self.params[f"{pre}.frame.w"], self.params[f"{pre}.frame.b"])
@@ -196,17 +191,11 @@ class ConditionalNet:
             h = autodiff.reshape(h, lead + (m.hidden_dim,))
         return autodiff.tanh(h)
 
-    def _encode_sequence(self, m, frames, spec, rng):
+    def _encode_sequence(self, m, frames, rng):
         pre = f"enc.{m.name}"
-        steps = [self._encode_frame(m, f, spec, rng) for f in frames]
-        return rnn_steps(
-            steps,
-            self.params[f"{pre}.rnn.wx"],
-            self.params[f"{pre}.rnn.wh"],
-            self.params[f"{pre}.rnn.b"],
-            spec,
-            rng,
-        )
+        steps = [self._encode_frame(m, f, rng) for f in frames]
+        return rnn_steps(steps, self.params[f"{pre}.rnn.wx"], self.params[f"{pre}.rnn.wh"],
+                         self.params[f"{pre}.rnn.b"], self.dropout_rate, rng)
 
     def check_payloads(self, payloads: dict):
         """An item needs at least one payload, each of a modality this net encodes."""
@@ -231,20 +220,23 @@ class ConditionalNet:
         gated = autodiff.mul(fused, relu(self.params[f"mask.{notion}"]))
         return l2_normalize(gated) if self.normalize else gated
 
-    def forward(self, payloads: dict, notion: str, spec: DropoutSpec, rng: RngStream = None) -> Tensor:
+    def forward(self, payloads: dict, notion: str, rng=None) -> Tensor:
         """Embed one item under one notion: a batch of one, flattened to [embed_dim]."""
         self.check_payloads(payloads)
-        return autodiff.reshape(self.forward_batch([payloads], notion, spec, rng), (self.embed_dim,))
+        return autodiff.reshape(self.forward_batch([payloads], notion, rng), (self.embed_dim,))
 
-    def forward_batch(self, payload_list, notion: str, spec: DropoutSpec, rng=None) -> Tensor:
+    def forward_batch(self, payload_list, notion: str, rng=None) -> Tensor:
         """Embed a batch of items sharing the same available modalities.
 
-        Stacks payloads per time step. rng is the mask source: a single
-        RngStream draws every mask and frame pick for the whole batch,
-        row after row, while RowStreams gives row r its masks and frame
-        picks from stream r, exactly as a batch of one on that stream
-        would draw them.
+        Stacks payloads per time step. Dropout, at the net's rate, runs
+        exactly when rng, the mask source, is given: a single RngStream
+        draws every mask and frame pick for the whole batch, row after
+        row, while RowStreams gives row r its masks and frame picks from
+        stream r, exactly as a batch of one on that stream would draw
+        them. At rate 0 the source is dropped, so nothing is drawn and
+        the forward is the deterministic one, bit for bit.
         """
+        rng = rng if self.dropout_rate else None
         if not payload_list:
             raise ValidationError("empty batch")
         present = [m for m in self.modalities if all(m.name in p for p in payload_list)]
@@ -257,18 +249,18 @@ class ConditionalNet:
                 x = np.array([np.asarray(p[name], dtype=np.float64) for p in payload_list])
                 if x.shape[1:] != (m.input_dim,):
                     raise ShapeError(f"modality {name} expects [{m.input_dim}] payloads")
-                embs.append(self._encode_vector(m, Tensor(x), spec, rng))
+                embs.append(self._encode_vector(m, Tensor(x), rng))
             else:
                 seqs = [np.asarray(p[name], dtype=np.float64) for p in payload_list]
                 if any(seq.ndim != 2 or seq.shape[1] != m.input_dim for seq in seqs):
                     raise ShapeError(f"modality {name} expects [T, {m.input_dim}] payloads")
                 lengths = [len(seq) for seq in seqs]
-                picks = sample_frame_indices(lengths, m.samples, spec, rng)
+                picks = sample_frame_indices(lengths, m.samples, rng)
                 # row r's picks index its own sequence inside the concatenation
                 starts = np.cumsum([0] + lengths[:-1])
                 stacked = np.concatenate(seqs)[starts[:, None] + np.asarray(picks)]  # [B, samples, input_dim]
                 frames = [Tensor(stacked[:, t, :]) for t in range(m.samples)]
-                embs.append(self._encode_sequence(m, frames, spec, rng))
+                embs.append(self._encode_sequence(m, frames, rng))
         return self.apply_mask(self.fuse(embs), notion)
 
     # --- checkpoints ---

@@ -3,8 +3,8 @@
 One training step consumes one mined triplet batch. Notions alternate
 round-robin: step t trains with the labels (and mask) of notion
 t mod M, so every notion sees the same optimizer schedule. Mining
-embeddings are computed with dropout disabled; the gradient step itself
-runs stochastic forwards.
+embeddings are computed without a mask source, so without dropout; the
+gradient step itself runs stochastic forwards.
 """
 
 import json
@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff
-from .autodiff import DISABLED, STOCHASTIC, DropoutSpec
 from .config import RunConfig, SOFT_MARGIN, TRIPLET
 from .data import DatasetFile
 from .errors import DivergenceError, ValidationError
@@ -114,8 +113,7 @@ def train(dataset: DatasetFile, cfg: RunConfig, out_dir=None, notions=None) -> T
                 batch = pk_sample(labels[notion], cfg.p_classes, cfg.k_per_class,
                                   pk_rng_root.substream(step))
                 payloads = [dataset.items[i].payloads for i in batch.indices]
-                emb = net.forward_batch(payloads, notion, DropoutSpec(cfg.dropout, STOCHASTIC),
-                                        drop_rng_root.substream(step))
+                emb = net.forward_batch(payloads, notion, drop_rng_root.substream(step))
                 local = batch_hard_triplets(emb.data, [labels[notion][i] for i in batch.indices])
                 losses.append(_descend(net, opt, emb, local, cfg, lr))
                 triplet_count += len(local)
@@ -129,7 +127,7 @@ def train(dataset: DatasetFile, cfg: RunConfig, out_dir=None, notions=None) -> T
                 def embed_fn(idxs):
                     with autodiff.no_grad():
                         pls = [dataset.items[i].payloads for i in idxs]
-                        return net.forward_batch(pls, notion, DropoutSpec(cfg.dropout, DISABLED)).data
+                        return net.forward_batch(pls, notion).data
 
                 dist = pairwise_distances(embed_in_chunks(items, embed_fn, cfg.batch_size))
                 batch = semi_hard_draw(dist, [labels[notion][i] for i in items],
@@ -140,8 +138,7 @@ def train(dataset: DatasetFile, cfg: RunConfig, out_dir=None, notions=None) -> T
                 triplets = np.asarray(items, dtype=np.intp)[batch]
                 uniq, local = np.unique(triplets, return_inverse=True)
                 payloads = [dataset.items[g].payloads for g in uniq]
-                emb = net.forward_batch(payloads, notion, DropoutSpec(cfg.dropout, STOCHASTIC),
-                                        drop_rng_root.substream(step))
+                emb = net.forward_batch(payloads, notion, drop_rng_root.substream(step))
                 losses.append(_descend(net, opt, emb, local.reshape(-1, 3), cfg, lr))
                 triplet_count += len(triplets)
                 step += 1

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff
-from .autodiff import DISABLED, STOCHASTIC, DropoutSpec
 from .config import number_array
 from .data import at_line, check_id, json_lines
 from .errors import ValidationError
@@ -88,7 +87,7 @@ def embed_prefixes(net, items, notion: str, mc_values, seed: int, modalities=Non
     so each pass draws what it would draw alone, whatever mc is. So one run
     of max(mc_values) passes per item serves every positive value, each
     aggregated from its prefix of the chunk's rows; mc = 0, the baseline,
-    runs dropout Disabled, one row per item and no streams. Returns
+    runs one row per item and no mask source, so no dropout. Returns
     (ids, [(means [n, d], variances [n, d]) per value of mc_values, in order]).
     """
     mc_values = list(mc_values)
@@ -118,9 +117,8 @@ def embed_prefixes(net, items, notion: str, mc_values, seed: int, modalities=Non
                for mc in mc_values}
     top = max(results)
     with autodiff.no_grad():
-        # the Disabled baseline if 0 is asked for, then one stochastic run of top passes
+        # the sourceless baseline if 0 is asked for, then one stochastic run of top passes
         for run in sorted({0, top} & results.keys()):
-            spec = DropoutSpec(net.dropout_rate, STOCHASTIC if run else DISABLED)
             prefixes = [m for m in results if (m > 0) == (run > 0)]
             passes = max(run, 1)
             step = max(1, CHUNK_ROWS // passes)
@@ -133,7 +131,7 @@ def embed_prefixes(net, items, notion: str, mc_values, seed: int, modalities=Non
                         # the key of RngStream(b, b + j), which takes both modulo 2**64
                         blocks = [seed + i * ITEM_STREAM_STRIDE for i in chunk]
                         rng = RowStreams([(b % 2**64, (b + j) % 2**64) for b in blocks for j in range(run)])
-                    out = net.forward_batch(batch, notion, spec, rng).data.reshape(len(chunk), passes, -1)
+                    out = net.forward_batch(batch, notion, rng).data.reshape(len(chunk), passes, -1)
                     for m in prefixes:
                         means, variances = results[m]
                         for i, rows in zip(chunk, out):

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from mcretrieval import DISABLED, DropoutSpec, autodiff
+from mcretrieval import autodiff
 from mcretrieval.autodiff import (
     Parameter,
     Tensor,
@@ -315,8 +315,7 @@ def test_dropout_off_paths_match_deterministic_baseline():
     rng = np.random.default_rng(5)
     payloads = {"vec": rng.normal(size=5), "seq": rng.normal(size=(6, 4))}
     with autodiff.no_grad():
-        det = np.array(net.forward(payloads, "goal",
-                                   DropoutSpec(net.dropout_rate, DISABLED)).data)
+        det = np.array(net.forward(payloads, "goal").data)
     out = mc_embed(net, payloads, "goal", 0, seed=9)
     assert np.array_equal(out.mean, det)
     assert not out.variance.any()

@@ -6,9 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcretrieval import (
-    DISABLED,
-    STOCHASTIC,
-    DropoutSpec,
     Parameter,
     RngStream,
     ShapeError,
@@ -21,6 +18,7 @@ from mcretrieval import (
 from mcretrieval import autodiff
 from mcretrieval.autodiff import rnn_steps
 from mcretrieval.gradcheck import grad_check
+from mcretrieval.model import ConditionalNet, ModalitySpec
 
 
 def naive_matmul(a, b):
@@ -74,12 +72,13 @@ class TestDropout:
     def test_disabled_is_exact_identity(self):
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(5, 7)))
-        out = dropout_apply(x, DropoutSpec(0.3, DISABLED), RngStream(1, 2))
+        # no mask source, no dropout
+        out = dropout_apply(x, 0.3)
         assert out.data is x.data
 
     def test_keep_fraction_and_scale(self):
         x = Tensor(np.ones(100_000))
-        out = dropout_apply(x, DropoutSpec(0.5, STOCHASTIC), RngStream(9, 0)).data
+        out = dropout_apply(x, 0.5, RngStream(9, 0)).data
         kept = out != 0.0
         assert abs(kept.mean() - 0.5) < 0.01
         np.testing.assert_allclose(out[kept], 2.0)
@@ -87,29 +86,29 @@ class TestDropout:
     def test_expectation_preserved(self):
         # inverted scaling keeps E[dropout(x)] = x
         x = np.full(10_000, 3.0)
-        spec = DropoutSpec(0.25, STOCHASTIC)
         total = np.zeros_like(x)
         for i in range(200):
-            total += dropout_apply(Tensor(x), spec, RngStream(5, i)).data
+            total += dropout_apply(Tensor(x), 0.25, RngStream(5, i)).data
         np.testing.assert_allclose(total.mean() / 200, 3.0, rtol=0.02)
 
     def test_rate_zero_stochastic_is_identity(self):
         x = Tensor(np.linspace(-2, 2, 11))
-        out = dropout_apply(x, DropoutSpec(0.0, STOCHASTIC), RngStream(0, 0))
+        out = dropout_apply(x, 0.0, RngStream(0, 0))
         assert np.array_equal(out.data, x.data)
 
     def test_same_stream_same_mask(self):
         x = Tensor(np.ones(64))
-        spec = DropoutSpec(0.4, STOCHASTIC)
-        a = dropout_apply(x, spec, RngStream(11, 3)).data
-        b = dropout_apply(x, spec, RngStream(11, 3)).data
+        a = dropout_apply(x, 0.4, RngStream(11, 3)).data
+        b = dropout_apply(x, 0.4, RngStream(11, 3)).data
         assert np.array_equal(a, b)
 
     def test_bad_rate_rejected(self):
+        # the net owns the rate every forward drops at
+        mods = [ModalitySpec("v", "vector", 3)]
         with pytest.raises(ValidationError):
-            DropoutSpec(1.0, STOCHASTIC)
+            ConditionalNet(mods, ["goal"], embed_dim=2, dropout_rate=1.0)
         with pytest.raises(ValidationError):
-            DropoutSpec(-0.1)
+            ConditionalNet(mods, ["goal"], embed_dim=2, dropout_rate=-0.1)
 
 
 class TestRnn:
@@ -149,8 +148,7 @@ class TestRnn:
         w_in = Tensor(rng.normal(size=(4, 3)))
         w_rec = Tensor(rng.normal(size=(3, 3)))
         b = Tensor(rng.normal(size=3))
-        spec = DropoutSpec(0.999999, STOCHASTIC)
-        got = rnn_steps(list(seq), w_in, w_rec, b, spec, RngStream(1, 1)).data
+        got = rnn_steps(list(seq), w_in, w_rec, b, 0.999999, RngStream(1, 1)).data
         h = np.zeros(3)
         for _ in range(2):
             h = np.tanh(h @ w_rec.data + b.data)

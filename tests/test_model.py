@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from mcretrieval import (
-    DISABLED,
-    STOCHASTIC,
-    DropoutSpec,
-    RngStream,
-    ShapeError,
-    ValidationError,
-)
+from mcretrieval import RngStream, ShapeError, ValidationError
 from mcretrieval import autodiff
 from mcretrieval.gradcheck import grad_check
 from mcretrieval.losses import triplet_batch_term
@@ -21,8 +14,6 @@ from mcretrieval.model import (
     sample_frame_indices,
     save_checkpoint,
 )
-
-DIS = DropoutSpec(0.1, DISABLED)
 
 
 def small_net(normalize=True, p=0.1, seed=3):
@@ -44,7 +35,7 @@ def encode_oracle(net, name, payload):
     if name == "vec":
         return payload @ w[f"{pre}.w0"] + w[f"{pre}.b0"]
     h = np.zeros(net.embed_dim)
-    for t in sample_frame_indices(len(payload), 2, DIS, None):
+    for t in sample_frame_indices([len(payload)], 2)[0]:
         frame = np.tanh(payload[t] @ w[f"{pre}.frame.w"] + w[f"{pre}.frame.b"])
         h = np.tanh(frame @ w[f"{pre}.rnn.wx"] + h @ w[f"{pre}.rnn.wh"] + w[f"{pre}.rnn.b"])
     return h
@@ -55,7 +46,7 @@ class TestShapes:
         # 8-wide frames through an 8x128 encoder into a 128-unit recurrence
         m = ModalitySpec("can", "sequence", 8, hidden_dim=128, samples=3)
         net = ConditionalNet([m], ["goal"], embed_dim=128, dropout_rate=0.1, seed=0)
-        out = net.forward({"can": np.random.default_rng(0).normal(size=(5, 8))}, "goal", DIS)
+        out = net.forward({"can": np.random.default_rng(0).normal(size=(5, 8))}, "goal")
         assert out.data.shape == (128,)
         assert net.params["enc.can.frame.w"].data.shape == (8, 128)
         assert net.params["enc.can.rnn.wh"].data.shape == (128, 128)
@@ -65,7 +56,7 @@ class TestShapes:
         m = ModalitySpec("cam", "sequence", 8, hidden_dim=12, samples=1, cells=4)
         net = ConditionalNet([m], ["goal"], embed_dim=6, dropout_rate=0.0, seed=1)
         frame = np.random.default_rng(2).normal(size=8)
-        got = net._encode_frame(m, autodiff.Tensor(frame), DIS, None).data
+        got = net._encode_frame(m, autodiff.Tensor(frame), None).data
         w = net.params["enc.cam.frame.w"].data
         b = net.params["enc.cam.frame.b"].data
         want = np.tanh((frame.reshape(4, 2) @ w + b).reshape(12))
@@ -79,50 +70,55 @@ class TestShapes:
         w.data = np.eye(3)
         b.data = np.array([1.0, 0.0, -1.0])
         x = np.array([0.5, 2.0, 3.0])
-        out = net.forward({"v": x}, "goal", DIS).data
+        out = net.forward({"v": x}, "goal").data
         np.testing.assert_allclose(out, x + b.data, atol=1e-15)
 
     def test_payload_shape_errors(self):
         net = small_net()
         rng = np.random.default_rng(0)
         with pytest.raises(ShapeError):
-            net.forward({"vec": rng.normal(size=6)}, "goal", DIS)
+            net.forward({"vec": rng.normal(size=6)}, "goal")
         with pytest.raises(ShapeError):
-            net.forward({"seq": rng.normal(size=(3, 5))}, "goal", DIS)
+            net.forward({"seq": rng.normal(size=(3, 5))}, "goal")
         with pytest.raises(ValidationError):
-            net.forward({}, "goal", DIS)
+            net.forward({}, "goal")
         with pytest.raises(ValidationError):
-            net.forward(payloads(rng), "nope", DIS)
+            net.forward(payloads(rng), "nope")
         with pytest.raises(ValidationError):
-            net.forward({"bogus": rng.normal(size=5)}, "goal", DIS)
+            net.forward({"bogus": rng.normal(size=5)}, "goal")
 
 
 class TestFrameSampling:
     def test_disabled_is_deterministic_and_even(self):
-        idx = sample_frame_indices(7, 3, DIS, None)
-        assert idx.tolist() == [0, 3, 6]
+        # no mask source: evenly spaced picks, one row per length
+        rows = sample_frame_indices([7, 3], 3)
+        assert [idx.tolist() for idx in rows] == [[0, 3, 6], [0, 1, 2]]
 
     def test_deterministic_grid_is_cached_read_only(self):
-        a = sample_frame_indices(9, 4, DIS, None)
-        assert a is sample_frame_indices(9, 4, DropoutSpec(0.0, STOCHASTIC), RngStream(0, 0))
+        [a] = sample_frame_indices([9], 4)
+        assert a is sample_frame_indices([9], 4)[0]
         assert a.tolist() == np.round(np.linspace(0, 8, 4)).astype(np.intp).tolist()
         assert not a.flags.writeable
+        # a rate-0 net draws nothing from the stream it is given
+        net = small_net(p=0.0)
+        p = payloads(np.random.default_rng(5), t=9)
+        rng = RngStream(0, 0)
+        out = net.forward(p, "goal", rng).data
+        assert np.array_equal(rng.uniform(16), RngStream(0, 0).uniform(16))
+        assert np.array_equal(out, net.forward(p, "goal").data)
 
     def test_full_length_sequences_use_all_frames_either_mode(self):
-        sto = DropoutSpec(0.0, STOCHASTIC)
-        assert sample_frame_indices(3, 3, DIS, None).tolist() == [0, 1, 2]
-        assert sample_frame_indices(3, 3, sto, RngStream(0, 0)).tolist() == [0, 1, 2]
+        assert sample_frame_indices([3], 3)[0].tolist() == [0, 1, 2]
+        assert sample_frame_indices([3], 3, RngStream(0, 0))[0].tolist() == [0, 1, 2]
 
     def test_stochastic_sorted_no_replacement(self):
-        sto = DropoutSpec(0.1, STOCHASTIC)
         for s in range(20):
-            idx = sample_frame_indices(10, 4, sto, RngStream(1, s))
+            idx = sample_frame_indices([10], 4, RngStream(1, s))[0]
             assert len(set(idx.tolist())) == 4
             assert sorted(idx.tolist()) == idx.tolist()
 
     def test_short_sequence_samples_with_replacement(self):
-        sto = DropoutSpec(0.1, STOCHASTIC)
-        idx = sample_frame_indices(2, 5, sto, RngStream(2, 0))
+        idx = sample_frame_indices([2], 5, RngStream(2, 0))[0]
         assert len(idx) == 5 and set(idx.tolist()) <= {0, 1}
 
 
@@ -131,37 +127,35 @@ class TestForward:
         net = small_net()
         rng = np.random.default_rng(1)
         for _ in range(10):
-            out = net.forward(payloads(rng), "goal", DIS).data
+            out = net.forward(payloads(rng), "goal").data
             assert abs(np.linalg.norm(out) - 1.0) < 1e-6
 
     def test_normalize_disabled(self):
         net = small_net(normalize=False)
-        out = net.forward(payloads(np.random.default_rng(2)), "goal", DIS).data
+        out = net.forward(payloads(np.random.default_rng(2)), "goal").data
         assert abs(np.linalg.norm(out) - 1.0) > 1e-6
 
     def test_disabled_forward_bit_reproducible(self):
         net = small_net()
         p = payloads(np.random.default_rng(3))
-        a = net.forward(p, "goal", DIS).data
-        b = net.forward(p, "goal", DIS).data
+        a = net.forward(p, "goal").data
+        b = net.forward(p, "goal").data
         assert np.array_equal(a, b)
 
     def test_stochastic_same_stream_reproducible(self):
-        net = small_net()
+        net = small_net(p=0.3)
         p = payloads(np.random.default_rng(4))
-        spec = DropoutSpec(0.3, STOCHASTIC)
-        a = net.forward(p, "goal", spec, RngStream(9, 4)).data
-        b = net.forward(p, "goal", spec, RngStream(9, 4)).data
+        a = net.forward(p, "goal", RngStream(9, 4)).data
+        b = net.forward(p, "goal", RngStream(9, 4)).data
         assert np.array_equal(a, b)
 
     def test_rate_zero_stochastic_collapses_to_baseline(self):
         # frame grid and dropout must both turn deterministic at rate 0
         net = small_net(p=0.0)
         p = payloads(np.random.default_rng(5), t=9)
-        spec = DropoutSpec(0.0, STOCHASTIC)
-        a = net.forward(p, "goal", spec, RngStream(0, 0)).data
-        b = net.forward(p, "goal", spec, RngStream(0, 7)).data
-        base = net.forward(p, "goal", DropoutSpec(0.0, DISABLED)).data
+        a = net.forward(p, "goal", RngStream(0, 0)).data
+        b = net.forward(p, "goal", RngStream(0, 7)).data
+        base = net.forward(p, "goal").data
         assert np.array_equal(a, b)
         assert np.array_equal(a, base)
 
@@ -170,7 +164,7 @@ class TestForward:
         rng = np.random.default_rng(6)
         p = payloads(rng)
         e_vec = encode_oracle(net, "vec", p["vec"])
-        only_vec = net.forward({"vec": p["vec"]}, "goal", DIS).data
+        only_vec = net.forward({"vec": p["vec"]}, "goal").data
         mask = np.maximum(net.params["mask.goal"].data, 0.0)
         want = e_vec * mask
         np.testing.assert_allclose(only_vec, want / np.linalg.norm(want), atol=1e-12)
@@ -183,7 +177,7 @@ class TestForward:
         p = payloads(rng)
         e1 = encode_oracle(net, "vec", p["vec"])
         e2 = encode_oracle(net, "seq", p["seq"])
-        out = net.forward(p, "goal", DIS).data
+        out = net.forward(p, "goal").data
         np.testing.assert_allclose(out, (e1 + e2) / 2.0, atol=1e-12)
 
     def test_fuse_permutation_invariant(self):
@@ -199,8 +193,8 @@ class TestMasks:
         net = small_net()
         net.params["mask.stim"].data = net.params["mask.goal"].data.copy()
         p = payloads(np.random.default_rng(9))
-        a = net.forward(p, "goal", DIS).data
-        b = net.forward(p, "stim", DIS).data
+        a = net.forward(p, "goal").data
+        b = net.forward(p, "stim").data
         np.testing.assert_allclose(a, b, atol=1e-15)
 
     def test_disjoint_masks_give_orthogonal_embeddings(self):
@@ -208,22 +202,22 @@ class TestMasks:
         net.params["mask.goal"].data = np.array([1.0] * 4 + [0.0] * 4)
         net.params["mask.stim"].data = np.array([0.0] * 4 + [1.0] * 4)
         p = payloads(np.random.default_rng(10))
-        a = net.forward(p, "goal", DIS).data
-        b = net.forward(p, "stim", DIS).data
+        a = net.forward(p, "goal").data
+        b = net.forward(p, "stim").data
         assert abs(np.dot(a, b)) < 1e-12
 
     def test_negative_mask_entries_rectified_to_zero(self):
         net = small_net()
         net.params["mask.goal"].data = np.array([1.0, -5.0, 2.0, -1.0, 1.0, 1.0, -2.0, 1.0])
-        out = net.forward(payloads(np.random.default_rng(11)), "goal", DIS).data
+        out = net.forward(payloads(np.random.default_rng(11)), "goal").data
         assert out[1] == 0.0 and out[3] == 0.0 and out[6] == 0.0
 
     def test_mask_scale_invariance_under_normalization(self):
         net = small_net()
         p = payloads(np.random.default_rng(12))
-        a = net.forward(p, "goal", DIS).data
+        a = net.forward(p, "goal").data
         net.params["mask.goal"].data = net.params["mask.goal"].data * 7.0
-        b = net.forward(p, "goal", DIS).data
+        b = net.forward(p, "goal").data
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -232,8 +226,8 @@ class TestBatchPath:
         net = small_net()
         rng = np.random.default_rng(13)
         batch = [payloads(rng, t=int(rng.integers(2, 6))) for _ in range(7)]
-        got = net.forward_batch(batch, "goal", DIS).data
-        want = np.stack([net.forward(p, "goal", DIS).data for p in batch])
+        got = net.forward_batch(batch, "goal").data
+        want = np.stack([net.forward(p, "goal").data for p in batch])
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_batch_requires_common_modality(self):
@@ -241,7 +235,7 @@ class TestBatchPath:
         rng = np.random.default_rng(14)
         batch = [{"vec": rng.normal(size=5)}, {"seq": rng.normal(size=(3, 4))}]
         with pytest.raises(ValidationError):
-            net.forward_batch(batch, "goal", DIS)
+            net.forward_batch(batch, "goal")
 
 
 class TestGradients:
@@ -251,7 +245,7 @@ class TestGradients:
         pls = [payloads(rng) for _ in range(3)]
 
         def f():
-            emb = net.forward_batch(pls, "goal", DIS)
+            emb = net.forward_batch(pls, "goal")
             return autodiff.tsum(triplet_batch_term(emb, [[0, 1, 2]], 0.5))
 
         report = grad_check(f, net.parameters())
@@ -261,11 +255,10 @@ class TestGradients:
         net = small_net(p=0.2)
         rng = np.random.default_rng(16)
         pls = [payloads(rng) for _ in range(3)]
-        spec = DropoutSpec(0.2, STOCHASTIC)
 
         def f():
             # same stream every call, so the dropout mask is a constant
-            emb = net.forward_batch(pls, "goal", spec, RngStream(21, 0))
+            emb = net.forward_batch(pls, "goal", RngStream(21, 0))
             return autodiff.tsum(triplet_batch_term(emb, [[0, 1, 2]], 0.5))
 
         report = grad_check(f, net.parameters())
@@ -283,7 +276,7 @@ class TestCheckpoint:
             assert np.array_equal(loaded.params[name].data, net.params[name].data)
         p = payloads(np.random.default_rng(17))
         np.testing.assert_array_equal(
-            net.forward(p, "stim", DIS).data, loaded.forward(p, "stim", DIS).data
+            net.forward(p, "stim").data, loaded.forward(p, "stim").data
         )
 
     def test_same_net_same_bytes(self, tmp_path):

@@ -7,10 +7,8 @@ import numpy as np
 import pytest
 
 from mcretrieval import (
-    STOCHASTIC,
     Adam,
     DivergenceError,
-    DropoutSpec,
     RngStream,
     Tensor,
     ValidationError,
@@ -176,11 +174,10 @@ class TestDescend:
 
     def test_step_graph_freed_without_cycle_collector(self):
         payloads = [it.payloads for it in self.ds.items[:6]]
-        spec = DropoutSpec(self.cfg.dropout, STOCHASTIC)
         gc.collect()
         gc.disable()
         try:
-            emb = self.net.forward_batch(payloads, "goal", spec, RngStream(1, 2))
+            emb = self.net.forward_batch(payloads, "goal", RngStream(1, 2))
             _descend(self.net, self.opt, emb, np.array([[0, 1, 2], [3, 4, 5]]), self.cfg, self.cfg.lr)
             del emb
             assert gc.collect() == 0

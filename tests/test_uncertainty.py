@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from mcretrieval import DISABLED, STOCHASTIC, DropoutSpec, ParseError, RngStream, ValidationError
+from mcretrieval import ParseError, RngStream, ValidationError
 from mcretrieval import uncertainty
 from mcretrieval.evaluation import evaluate, mc_sweep
 from mcretrieval.model import ConditionalNet, ModalitySpec
@@ -63,7 +63,7 @@ class TestMcEmbed:
     def test_disabled_collapses_to_deterministic_pass(self):
         net = small_net()
         p = payloads(np.random.default_rng(1))
-        direct = net.forward(p, "goal", DropoutSpec(net.dropout_rate, DISABLED)).data
+        direct = net.forward(p, "goal").data
         out = mc_embed(net, p, "goal", mc=0, seed=4)
         assert np.array_equal(out.mean, direct)
         assert np.array_equal(out.variance, np.zeros(8))
@@ -155,11 +155,10 @@ class TestDataset:
 
 def per_pass_oracle(net, items, notion, mc, seed):
     """Each pass as its own batch-of-one forward on RngStream(block, block + j)."""
-    spec = DropoutSpec(net.dropout_rate, STOCHASTIC)
     means, variances = [], []
     for i, (_, p) in enumerate(items):
         block = seed + i * ITEM_STREAM_STRIDE
-        agg = aggregate_passes(np.stack([net.forward(p, notion, spec, RngStream(block, block + j)).data
+        agg = aggregate_passes(np.stack([net.forward(p, notion, RngStream(block, block + j)).data
                                          for j in range(mc)]))
         means.append(agg.mean)
         variances.append(agg.variance)
@@ -233,8 +232,8 @@ class TestBatchedPasses:
         # with more passes every row is still the deterministic forward
         batch = [p for _, p in items for _ in range(3)]
         streams = RowStreams([(6, 6 + j) for j in range(len(batch))])
-        rows = net.forward_batch(batch, "goal", DropoutSpec(0.0, STOCHASTIC), streams).data
-        base = net.forward_batch(batch, "goal", DropoutSpec(0.0, DISABLED)).data
+        rows = net.forward_batch(batch, "goal", streams).data
+        base = net.forward_batch(batch, "goal").data
         assert np.array_equal(rows, base)
 
     def test_requested_modalities_must_be_known(self):
