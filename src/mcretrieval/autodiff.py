@@ -295,8 +295,10 @@ def l2_normalize(x, eps: float = 1e-12) -> Tensor:
 
 
 def dropout_apply(x, rate: float, rng=None) -> Tensor:
-    """Inverted dropout drawn from the mask source rng: keep each unit with probability 1-rate,
-    scale kept units by 1/(1-rate). Without a source it is the identity."""
+    """Inverted dropout with masks drawn from rng; the identity when there is no rng.
+
+    Keeps each unit with probability 1-rate and scales kept units by 1/(1-rate).
+    """
     x = _wrap(x)
     if rng is None:
         return x

@@ -76,13 +76,18 @@ def cmd_retrieve(args):
     from .mining import pairwise_distances
 
     emb = read_embeddings(args.embeddings)
-    index = {item_id: i for i, item_id in enumerate(emb.ids)}
+    # a query is an id's text, the key ranked_galleries breaks ties on; ids 3 and "3" share one
+    texts = [str(item_id) for item_id in emb.ids]
+    index = {text: i for i, text in enumerate(texts)}
     queries = _split_csv(args.query_ids) or []
     if not queries:
         raise ValidationError("--query-ids must name at least one item")
     missing = [q for q in queries if q not in index]
     if missing:
         raise ValidationError(f"unknown query ids: {', '.join(missing)}")
+    shared = [q for q in queries if texts.count(q) > 1]
+    if shared:
+        raise ValidationError(f"query ids that name more than one item: {', '.join(shared)}")
     if args.k < 1:
         raise ValidationError("--k must be >= 1")
     rows = [index[q] for q in queries]

@@ -88,11 +88,7 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
 
     An unknown key, or a value whose JSON type does not match its field, is a ValidationError.
     """
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except json.JSONDecodeError as e:
-        raise ParseError(str(e), path=str(path), line=e.lineno) from None
+    doc = load_json(path)
     if not isinstance(doc, dict):
         raise ParseError("config must be a JSON object", path=str(path), line=1)
     unknown = sorted(set(doc) - {f.name for f in fields(RunConfig)})
@@ -101,6 +97,18 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     if overrides:
         doc.update({k: v for k, v in overrides.items() if v is not None})
     return RunConfig(**check_json_types(RunConfig, doc, "config key"))
+
+
+def load_json(path):
+    """The JSON document in the file at path; malformed JSON or UTF-8 is a ParseError at its line."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except json.JSONDecodeError as e:
+        raise ParseError(e.msg, path=str(path), line=e.lineno) from None
+    except UnicodeDecodeError as e:  # json.load reads the whole file, so e.object holds all its bytes
+        raise ParseError(f"not UTF-8: {e.reason}", path=str(path),
+                         line=e.object.count(b"\n", 0, e.start) + 1) from None
 
 
 def check_json_types(cls, doc: dict, what: str) -> dict:

@@ -6,6 +6,7 @@ sequence modalities); labels are one class per notion per item.
 """
 
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
@@ -83,10 +84,11 @@ class DatasetFile:
     def check_item(self, it: Item, seen: set):
         """A ValidationError for the first bad id, session, label or payload of it; else seen gains its id."""
         check_id(it.id, seen)
-        if isinstance(it.session, (bool, list, dict)):  # None is no session
+        if it.session is not None and not is_name(it.session):  # None is no session
             raise ValidationError(f"item session must be a string or number, got {json.dumps(it.session)}")
         for notion in self.notions:
-            if it.labels.get(notion) not in self.classes[notion]:
+            label = it.labels.get(notion)
+            if not is_name(label) or label not in self.classes[notion]:
                 raise ValidationError(f"item {it.id}: bad label for {notion!r}")
         for name, payload in it.payloads.items():
             spec, shape = self.modality(name), np.shape(payload)
@@ -95,9 +97,15 @@ class DatasetFile:
                 raise ValidationError(f"item {it.id}: {name} payload must be {want}")
 
 
+def is_name(value) -> bool:
+    """Whether value may be an id, session, label or class name: a string or a finite number (no bool or null)."""
+    return (isinstance(value, (str, int)) and not isinstance(value, bool)
+            or isinstance(value, float) and math.isfinite(value))
+
+
 def check_id(value, seen: set):
-    """Add an item id to seen; an id is a string or number (not a bool) that seen does not hold yet."""
-    if isinstance(value, (bool, list, dict)) or value is None:
+    """Add an item id to seen; an id is a name (is_name) that seen does not hold yet."""
+    if not is_name(value):
         raise ValidationError(f"item id must be a string or number, got {json.dumps(value)}")
     if value in seen:
         raise ValidationError(f"duplicate id {value!r}")
@@ -175,7 +183,7 @@ def read_dataset(path) -> DatasetFile:
         if not (isinstance(notions, list) and all(isinstance(n, str) for n in notions)):
             raise ValidationError("'notions' must be a list of strings")
         if not (isinstance(classes, dict) and all(isinstance(cs, list) for cs in classes.values())
-                and not any(isinstance(c, (list, dict)) for cs in classes.values() for c in cs)):
+                and all(is_name(c) for cs in classes.values() for c in cs)):
             raise ValidationError("'classes' must be an object of lists of strings or numbers")
         if set(notions) != set(classes):
             raise ValidationError("notions and class vocabularies disagree")

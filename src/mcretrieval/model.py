@@ -24,8 +24,8 @@ from .autodiff import (
     relu,
     rnn_steps,
 )
-from .config import check_json_types, number_array
-from .errors import ParseError, ShapeError, ValidationError
+from .config import check_json_types, load_json, number_array
+from .errors import ShapeError, ValidationError
 from .rng import RngStream
 
 VECTOR = "vector"
@@ -330,10 +330,5 @@ def save_checkpoint(net: ConditionalNet, path):
 
 
 def load_checkpoint(path) -> ConditionalNet:
-    """Read a checkpoint; malformed JSON is a ParseError, a malformed document a ValidationError."""
-    with open(path) as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ParseError(e.msg, path=str(path), line=e.lineno) from None
-    return ConditionalNet.from_checkpoint(doc)
+    """Read a checkpoint; malformed JSON or UTF-8 is a ParseError, a malformed document a ValidationError."""
+    return ConditionalNet.from_checkpoint(load_json(path))

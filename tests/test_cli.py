@@ -211,6 +211,13 @@ class TestTrain:
                      "--notion", "goal", "--mc", "0"]) == 3
         one_error_line(capsys, "error[parse]:", "bad.jsonl:1:")
 
+    def test_config_not_utf8_is_parse_error_at_its_line(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(json.dumps(FAST_CFG).encode() + b"\n\xff\n")
+        assert main(["train", "--dataset", str(workspace["data"]), "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == 3
+        one_error_line(capsys, "error[parse]:", "cfg.json:2:")
+
     @pytest.mark.parametrize("value", [
         {"epochs": "5"}, {"margin": None}, {"epochs": 5.5}, {"seed": 1.5}, {"normalize": "no"},
     ])
@@ -272,6 +279,22 @@ class TestEmbedRetrieve:
         code = main(["retrieve", "--embeddings", str(emb), "--query-ids", "ghost"])
         assert code == 2
         assert "ghost" in capsys.readouterr().err
+
+    def test_retrieve_numeric_ids(self, tmp_path, capsys):
+        path = tmp_path / "num.jsonl"
+        means = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0], [3.0, 0.0]])
+        write_embeddings(path, [3, 10, 2.5, "a"], means, np.zeros_like(means), "goal", 0)
+        assert main(["retrieve", "--embeddings", str(path), "--query-ids", "3,2.5", "--k", "2"]) == 0
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+        assert [(q, hit) for q, _, hit, _ in rows] == [("3", "10"), ("3", "2.5"), ("2.5", "3"), ("2.5", "10")]
+
+    def test_retrieve_id_text_two_ids_share(self, tmp_path, capsys):
+        # 3 and "3" are distinct, legal ids; the query text "3" names both
+        path = tmp_path / "shared.jsonl"
+        write_embeddings(path, [3, "3", "a"], np.eye(3), np.zeros((3, 3)), "goal", 0)
+        assert main(["retrieve", "--embeddings", str(path), "--query-ids", "a,3"]) == 2
+        one_error_line(capsys, "error[validation]:", "more than one item: 3")
+        assert main(["retrieve", "--embeddings", str(path), "--query-ids", "a"]) == 0
 
 
 class TestRankersAgree:
@@ -399,7 +422,7 @@ class TestEvalSweepUncertaintyAblate:
     @pytest.mark.parametrize("case,code", [
         ("truncated", 3), ("missing_key", 2), ("not_an_object", 2),
         ("wrong_dim_type", 2), ("wrong_param_type", 2), ("infinite_param", 2),
-        ("float_samples", 2), ("bool_samples", 2), ("bool_param", 2),
+        ("float_samples", 2), ("bool_samples", 2), ("bool_param", 2), ("not_utf8", 3),
     ])
     def test_malformed_checkpoint_exits_with_one_line(self, workspace, tmp_path, capsys, case, code):
         text = workspace["ckpt"].read_text()
@@ -420,9 +443,10 @@ class TestEvalSweepUncertaintyAblate:
             "infinite_param": json.dumps({**doc, "params": {
                 k: {"shape": v["shape"], "data": np.full(v["shape"], np.inf).tolist()}
                 for k, v in doc["params"].items()}}),
+            "not_utf8": b"\xff",
         }[case]
         ckpt = tmp_path / "ckpt.json"
-        ckpt.write_text(bad)
+        ckpt.write_bytes(bad if isinstance(bad, bytes) else bad.encode())
         assert main(["eval", "--dataset", str(workspace["data"]), "--checkpoint", str(ckpt),
                      "--notion", "goal", "--mc", "0"]) == code
         err = capsys.readouterr().err
@@ -451,6 +475,25 @@ class TestEvalSweepUncertaintyAblate:
         err = capsys.readouterr().err
         assert err.startswith("error[parse]:") and "bad.jsonl:3:" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("case,line", [
+        ("label_true", 3), ("header_class_null", 1), ("header_class_true", 1),
+    ])
+    def test_bool_or_null_class_name_exits_with_one_line(self, workspace, tmp_path, capsys, case, line):
+        # numeric classes 0..3, so that == alone would take a label true for class 1
+        data = relabel(workspace["data"], tmp_path / "int.jsonl", "goal", lambda c: int(c[4:]))
+        lines = data.read_text().splitlines()
+        header, rec = json.loads(lines[0]), json.loads(lines[2])
+        if case == "label_true":
+            rec["labels"]["goal"] = True
+        else:
+            header["classes"]["goal"].append(None if case == "header_class_null" else True)
+        lines[0], lines[2] = json.dumps(header), json.dumps(rec)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["eval", "--dataset", str(bad), "--checkpoint", str(workspace["ckpt"]),
+                     "--notion", "goal", "--mc", "0"]) == 3
+        one_error_line(capsys, "error[parse]:", f"bad.jsonl:{line}:")
 
     def test_embeddings_id_list_exits_with_one_line(self, tmp_path, capsys):
         emb = tmp_path / "emb.jsonl"

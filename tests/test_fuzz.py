@@ -29,9 +29,9 @@ CFG = {"embed_dim": 8, "hidden_dim": 8, "epochs": 2, "decay_start": 1, "batch_si
 
 ANY = ["x", 5, None, [], {}, True]
 ITEM = ["x", None, [], {}, True]  # inside a number array; numpy alone would read True as 1.0
-# ids and sessions may be strings or numbers; a null session means no session
-IDS = [[], {}, True, False, None]
-SESSIONS = [[], {}, True, False]
+# ids and sessions may be strings or finite numbers; a null session means no session
+IDS = [[], {}, True, False, None, float("inf")]
+SESSIONS = [[], {}, True, False, float("nan")]
 
 # (line, *path) patterns: "R" is any record line after a header, "*" any key
 # or index, a tuple any of its keys; each with the replacements tried there
@@ -218,6 +218,9 @@ def mutated_text(kind, op, line, path, value):
 @example(case=("checkpoint", "type", 0, ("params", "mask.goal", "data", 0), True))
 @example(case=("dataset", "type", 0, ("sessions",), "x"))
 @example(case=("dataset", "type", 0, ("sessions",), 1))
+@example(case=("dataset", "type", 1, ("id",), float("inf")))
+@example(case=("dataset", "type", 2, ("session",), float("nan")))
+@example(case=("embeddings", "type", 0, ("id",), float("inf")))
 def test_mutated_file_exits_2_or_3_with_one_line(case):
     kind, op, line, path, value = case
     ws = workspace()
