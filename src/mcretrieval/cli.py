@@ -31,12 +31,6 @@ def _split_csv(text):
     return [t for t in (s.strip() for s in text.split(",")) if t] if text else None
 
 
-def _require(args, *names):
-    for name in names:
-        if getattr(args, name) is None:
-            raise ValidationError(f"--{name.replace('_', '-')} is required")
-
-
 def cmd_synth(args):
     spec = preset_args(args.preset)
     if args.sessions is not None:
@@ -76,21 +70,28 @@ def cmd_retrieve(args):
     from .mining import pairwise_distances
 
     emb = read_embeddings(args.embeddings)
-    # a query is an id's text, the key ranked_galleries breaks ties on; ids 3 and "3" share one
-    texts = [str(item_id) for item_id in emb.ids]
-    index = {text: i for i, text in enumerate(texts)}
     queries = _split_csv(args.query_ids) or []
     if not queries:
         raise ValidationError("--query-ids must name at least one item")
-    missing = [q for q in queries if q not in index]
+    named = {}
+    for q in queries:
+        try:
+            value = json.loads(q)
+        except ValueError:
+            value = None
+        # q names each id whose text it is, the key ranked_galleries breaks ties on (ids 3 and "3"
+        # share one), and, if it is a JSON number, the id of that value however spelt (1e20, 1.50)
+        named[q] = [i for i, item_id in enumerate(emb.ids)
+                    if str(item_id) == q or type(value) in (int, float) and item_id == value]
+    missing = [q for q in queries if not named[q]]
     if missing:
         raise ValidationError(f"unknown query ids: {', '.join(missing)}")
-    shared = [q for q in queries if texts.count(q) > 1]
+    shared = [q for q in queries if len(named[q]) > 1]
     if shared:
         raise ValidationError(f"query ids that name more than one item: {', '.join(shared)}")
     if args.k < 1:
         raise ValidationError("--k must be >= 1")
-    rows = [index[q] for q in queries]
+    rows = [named[q][0] for q in queries]
     dist = pairwise_distances(emb.means, rows)
     for q, row, order in zip(queries, dist, ranked_galleries(dist, emb.ids, rows)):
         for rank, i in enumerate(order[: args.k], start=1):
@@ -182,26 +183,29 @@ def cmd_ablate(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Subcommand parsers share this class, so a bad or missing flag is one validation line too."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mcretrieval",
         description="Conditional multi-modal retrieval with MC-dropout uncertainty.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, dataset=True, checkpoint=True, notion=True, mc=True, out=True):
-        if dataset:
-            p.add_argument("--dataset", required=True, help="dataset file (JSONL)")
-        if checkpoint:
-            p.add_argument("--checkpoint", required=True, help="trained checkpoint")
-        if notion:
-            p.add_argument("--notion", required=True, help="notion to retrieve by")
+    def common(p, mc=True, out_required=False):
+        p.add_argument("--dataset", required=True, help="dataset file (JSONL)")
+        p.add_argument("--checkpoint", required=True, help="trained checkpoint")
+        p.add_argument("--notion", required=True, help="notion to retrieve by")
         if mc:
             p.add_argument("--mc", type=int, default=50,
                            help="MC passes; 0 = deterministic baseline (default 50)")
         p.add_argument("--seed", type=int, default=0)
-        if out:
-            p.add_argument("--out", help="output path")
+        p.add_argument("--out", required=out_required, help="output path")
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--preset", required=True, choices=sorted(PRESETS))
@@ -220,10 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("embed", help="write MC embeddings for every item")
-    common(p)
+    common(p, out_required=True)
     p.add_argument("--modalities", help="comma list; default all")
     p.set_defaults(func=cmd_embed)
-    p.set_defaults(out_required=True)
 
     p = sub.add_parser("retrieve", help="print the top-k gallery for query items")
     p.add_argument("--embeddings", required=True, help="file written by embed")
@@ -255,10 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "out_required", False):
-            _require(args, "out")
+        args = build_parser().parse_args(argv)
         if getattr(args, "mc", 0) < 0:
             raise ValidationError(f"--mc must be >= 0, got {args.mc}")
         with np.errstate(all="ignore"):  # a non-finite result ends in one error line, not warnings

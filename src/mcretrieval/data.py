@@ -82,7 +82,7 @@ class DatasetFile:
         return self
 
     def check_item(self, it: Item, seen: set):
-        """A ValidationError for the first bad id, session, label or payload of it; else seen gains its id."""
+        """A ValidationError for its first bad id, session, label or payload, or for no payload; else seen gains its id."""
         check_id(it.id, seen)
         if it.session is not None and not is_name(it.session):  # None is no session
             raise ValidationError(f"item session must be a string or number, got {json.dumps(it.session)}")
@@ -90,6 +90,8 @@ class DatasetFile:
             label = it.labels.get(notion)
             if not is_name(label) or label not in self.classes[notion]:
                 raise ValidationError(f"item {it.id}: bad label for {notion!r}")
+        if not it.payloads:
+            raise ValidationError(f"item {it.id} has no modality payloads")
         for name, payload in it.payloads.items():
             spec, shape = self.modality(name), np.shape(payload)
             if shape != (spec.dim,) if spec.kind == VECTOR else len(shape) != 2 or shape[1] != spec.dim:
@@ -222,8 +224,8 @@ def tail_counts(n_classes: int, n_items: int, tail: float):
         raise ValidationError(
             f"{n_items} items cannot give {n_classes} classes 2 members each"
         )
-    if tail < 0:
-        raise ValidationError("tail must be >= 0")
+    if not (math.isfinite(tail) and tail >= 0):
+        raise ValidationError(f"tail must be a finite number >= 0, got {tail}")
     w = np.arange(1, n_classes + 1, dtype=np.float64) ** (-tail)
     counts = np.maximum(np.floor(w / w.sum() * n_items).astype(int), 2)
     i = 0

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .mining import pairwise_distances, row_blocks
+from .mining import label_codes, pairwise_distances, row_blocks
 
 
 def average_precision(relevance) -> float:
@@ -53,9 +53,10 @@ class RetrievalReport:
 
 def ranked_galleries(dist, ids, queries):
     """Per query index and its distance row: the other items by ascending distance, ties by str(id)."""
-    keys = np.array([str(i) for i in ids])
+    # equal texts share a rank, and lexsort keeps their order by index
+    _, rank = np.unique([str(i) for i in ids], return_inverse=True)
     for row, q in zip(dist, queries):
-        order = np.lexsort((keys, row))
+        order = np.lexsort((rank, row))
         yield order[order != q]
 
 
@@ -75,12 +76,9 @@ def evaluate(ids, embeddings, labels, config=None) -> RetrievalReport:
     if embeddings.shape[0] < 2:
         raise ValidationError("evaluation needs at least two items")
 
-    counts = {}
-    for lab in labels:
-        counts[lab] = counts.get(lab, 0) + 1
-
-    queries = [q for q in range(len(ids)) if counts[labels[q]] >= 2]
-    if not queries:
+    codes = label_codes(labels)
+    queries = np.flatnonzero(np.bincount(codes)[codes] >= 2)
+    if not queries.size:
         raise ValidationError("no class has two members; nothing to evaluate")
     per_query = []
     by_class = {}
@@ -91,14 +89,12 @@ def evaluate(ids, embeddings, labels, config=None) -> RetrievalReport:
         block = queries[blk]
         dist = pairwise_distances(embeddings, block)
         for q, order in zip(block, ranked_galleries(dist, ids, block)):
-            rel = [labels[i] == labels[q] for i in order]
+            rel = codes[order] == codes[q]
             ap = average_precision(rel)
             per_query.append({"id": ids[q], "class": labels[q], "ap": ap})
             by_class.setdefault(labels[q], []).append(ap)
-            if rel[0]:
-                top1_hits += 1
-            if any(rel[:5]):
-                top5_hits += 1
+            top1_hits += bool(rel[0])
+            top5_hits += bool(rel[:5].any())
 
     n_q = len(per_query)
     class_means = {lab: float(np.mean(aps)) for lab, aps in by_class.items()}

@@ -39,8 +39,8 @@ def pairwise_distances(embeddings, rows=None) -> np.ndarray:
     return out
 
 
-def _label_codes(labels) -> np.ndarray:
-    """Integer class codes under Python equality, the classes evaluate and pk_sample see."""
+def label_codes(labels) -> np.ndarray:
+    """Integer class codes under Python equality (1 and 1.0 one class, "1" another), for the miners and evaluate."""
     codes = {}
     return np.array([codes.setdefault(lab, len(codes)) for lab in labels], dtype=np.intp)
 
@@ -87,7 +87,7 @@ def batch_hard_triplets(embeddings, labels) -> np.ndarray:
     Anchors whose label has no second item are skipped; a batch with no
     usable anchor or with a single class cannot be mined.
     """
-    labels = _label_codes(labels)
+    labels = label_codes(labels)
     d = pairwise_distances(embeddings)
     n = d.shape[0]
     if labels.shape != (n,):
@@ -160,7 +160,7 @@ def semi_hard_draw(dist, labels, cap: int, rng: RngStream):
     semi_hard_negative rule, then keeps a random cap of them in random
     order. Returns None when no pair has a usable negative.
     """
-    labs = _label_codes(labels)
+    labs = label_codes(labels)
     same = labs[:, None] == labs[None, :]
     a, p = np.nonzero(np.triu(same, 1))
     neg = np.empty_like(a)

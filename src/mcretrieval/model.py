@@ -7,7 +7,6 @@ before L2 normalization. Dropout sits in front of every weight layer;
 the hidden-to-hidden path of the recurrence carries none.
 """
 
-import functools
 import json
 import os
 from dataclasses import asdict, dataclass
@@ -61,8 +60,8 @@ class ModalitySpec:
                 raise ValidationError(f"cells must divide input and hidden dims for {self.name}")
 
 
-def sample_frame_indices(lengths, n: int, rng=None):
-    """One row of n ascending frame picks per sequence length.
+def sample_frame_indices(lengths, n: int, rng=None) -> np.ndarray:
+    """[rows, n] frame picks, each row ascending, one row per sequence length.
 
     With a mask source the picks are drawn uniformly (without replacement
     when the sequence is long enough) with one rng.frame_picks call;
@@ -71,17 +70,12 @@ def sample_frame_indices(lengths, n: int, rng=None):
     """
     if min(lengths) < 1:
         raise ValidationError("empty sequence payload")
-    if rng is None:
-        return [_frame_grid(t, n) for t in lengths]
-    return rng.frame_picks(lengths, n)
-
-
-@functools.lru_cache(maxsize=4096)
-def _frame_grid(length: int, n: int) -> np.ndarray:
-    # read-only, because every caller shares the one cached array
-    grid = np.round(np.linspace(0, length - 1, n)).astype(np.intp)
-    grid.setflags(write=False)
-    return grid
+    if rng is not None:
+        return rng.frame_picks(lengths, n)
+    # np.round(np.linspace(0, L - 1, n)) per row: linspace's float operations, less its
+    # exact endpoint, which only moves the last value by an ulp of the integer L - 1
+    last = np.asarray(lengths, dtype=np.float64)[:, None] - 1
+    return np.round(np.arange(n) * (last / max(n - 1, 1))).astype(np.intp)
 
 
 @dataclass(frozen=True)
@@ -239,9 +233,10 @@ class ConditionalNet:
         rng = rng if self.dropout_rate else None
         if not payload_list:
             raise ValidationError("empty batch")
-        present = [m for m in self.modalities if all(m.name in p for p in payload_list)]
-        if not present:
-            raise ValidationError("no modality is present across the whole batch")
+        names = set(payload_list[0])
+        if any(set(p) != names for p in payload_list):
+            raise ValidationError("every row of a batch must carry the same modalities")
+        present = [m for m in self.modalities if m.name in names]  # if empty, fuse rejects the batch
         embs = []
         for m in present:
             name = m.name
@@ -258,7 +253,7 @@ class ConditionalNet:
                 picks = sample_frame_indices(lengths, m.samples, rng)
                 # row r's picks index its own sequence inside the concatenation
                 starts = np.cumsum([0] + lengths[:-1])
-                stacked = np.concatenate(seqs)[starts[:, None] + np.asarray(picks)]  # [B, samples, input_dim]
+                stacked = np.concatenate(seqs)[starts[:, None] + picks]  # [B, samples, input_dim]
                 frames = [Tensor(stacked[:, t, :]) for t in range(m.samples)]
                 embs.append(self._encode_sequence(m, frames, rng))
         return self.apply_mask(self.fuse(embs), notion)

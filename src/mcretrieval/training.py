@@ -86,6 +86,9 @@ def train(dataset: DatasetFile, cfg: RunConfig, out_dir=None, notions=None) -> T
     dataset.validate()
     if len(dataset.items) < 2:
         raise ValidationError("training needs at least two items")
+    odd = [it.id for it in dataset.items if set(it.payloads) != set(dataset.items[0].payloads)]
+    if odd:  # mining and triplet batches mix items, and a batch forward takes one modality set
+        raise ValidationError(f"training needs one modality set; item {odd[0]} differs from item {dataset.items[0].id}")
     if notions is not None:
         unknown = sorted(set(notions) - set(dataset.notions))
         if unknown:

@@ -30,17 +30,17 @@ class McEmbedding:
 def _ordered_sum(x: np.ndarray) -> np.ndarray:
     # summing each column in sorted order makes the reduction
     # independent of the order the passes arrived in
-    return np.sum(np.sort(x, axis=0), axis=0)
+    return np.sum(np.sort(x, axis=-2), axis=-2)
 
 
 def aggregate_passes(passes: np.ndarray) -> McEmbedding:
-    """Two-pass mean and unbiased variance, invariant to pass order."""
+    """Two-pass mean and unbiased variance over the pass axis of [..., mc, d], invariant to pass order."""
     passes = np.asarray(passes, dtype=np.float64)
-    mc = passes.shape[0]
+    mc = passes.shape[-2]
     mean = _ordered_sum(passes) / mc
     if mc == 1:
         return McEmbedding(mean=mean, variance=np.zeros_like(mean), mc_count=1)
-    dev = passes - mean
+    dev = passes - mean[..., None, :]
     var = _ordered_sum(dev * dev) / (mc - 1)
     return McEmbedding(mean=mean, variance=var, mc_count=mc)
 
@@ -109,7 +109,7 @@ def embed_prefixes(net, items, notion: str, mc_values, seed: int, modalities=Non
         net.check_payloads(payloads)
         ids.append(item_id)
         payload_list.append(payloads)
-        # forward_batch keeps only the modalities every row carries
+        # a forward_batch takes rows of one modality set
         groups.setdefault(frozenset(payloads), []).append(i)
 
     # one result per distinct value; a repeated value shares its arrays
@@ -134,9 +134,8 @@ def embed_prefixes(net, items, notion: str, mc_values, seed: int, modalities=Non
                     out = net.forward_batch(batch, notion, rng).data.reshape(len(chunk), passes, -1)
                     for m in prefixes:
                         means, variances = results[m]
-                        for i, rows in zip(chunk, out):
-                            agg = aggregate_passes(rows[:max(m, 1)])
-                            means[i], variances[i] = agg.mean, agg.variance
+                        agg = aggregate_passes(out[:, :max(m, 1)])
+                        means[chunk], variances[chunk] = agg.mean, agg.variance
     return ids, [results[mc] for mc in mc_values]
 
 

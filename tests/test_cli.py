@@ -115,6 +115,20 @@ class TestTrain:
         assert main(["train", "--dataset", str(data), "--config", str(cfg),
                      "--out", str(tmp_path / "run")]) == 0
 
+    def test_mixed_modality_sets_exit_before_training(self, workspace, tmp_path, capsys):
+        # odd items lose their sequence, so mined batches would mix two modality sets
+        lines = workspace["data"].read_text().splitlines()
+        recs = [json.loads(line) for line in lines[1:]]
+        for rec in recs[1::2]:
+            del rec["payloads"]["seq"]
+        data = tmp_path / "mixed.jsonl"
+        data.write_text("\n".join([lines[0], *map(json.dumps, recs)]) + "\n")
+        out = tmp_path / "run"
+        assert main(["train", "--dataset", str(data), "--config", str(workspace["cfg"]),
+                     "--out", str(out)]) == 2
+        one_error_line(capsys, "error[validation]:", "one modality set", f"item {recs[1]['id']} differs")
+        assert not out.exists()
+
     def test_bad_dropout_exits_before_training(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({**FAST_CFG, "dropout": 1.0}))
@@ -258,6 +272,10 @@ class TestEmbedRetrieve:
         code = main(["embed", "--dataset", str(workspace["data"]),
                      "--checkpoint", str(workspace["ckpt"]), "--notion", "goal"])
         assert code == 2
+        one_error_line(capsys, "error[validation]:", "mcretrieval embed", "--out")
+        with pytest.raises(SystemExit) as e:
+            main(["embed", "--help"])
+        assert e.value.code == 0
 
     def test_retrieve_prints_ranked_gallery(self, workspace, capsys):
         emb = workspace["root"] / "emb_r.jsonl"
@@ -295,6 +313,21 @@ class TestEmbedRetrieve:
         assert main(["retrieve", "--embeddings", str(path), "--query-ids", "a,3"]) == 2
         one_error_line(capsys, "error[validation]:", "more than one item: 3")
         assert main(["retrieve", "--embeddings", str(path), "--query-ids", "a"]) == 0
+
+
+    def test_retrieve_names_a_number_by_value(self, tmp_path, capsys):
+        # the file spells 1e20, which the writer spells 1e+20; 1.50 is 1.5 by value
+        path = tmp_path / "spelt.jsonl"
+        write_embeddings(path, [1e20, 1.5, "a", 1], np.eye(4), np.zeros((4, 4)), "goal", 0)
+        path.write_text(path.read_text().replace('"id":1e+20', '"id":1e20'))
+        assert main(["retrieve", "--embeddings", str(path), "--query-ids", "1e20,1.50", "--k", "3"]) == 0
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+        # all distances tie, so each query lists the other ids by text
+        assert [(q, hit) for q, _, hit, _ in rows] == [
+            ("1e20", "1"), ("1e20", "1.5"), ("1e20", "a"), ("1.50", "1"), ("1.50", "1e+20"), ("1.50", "a")]
+        # a JSON true is no number, so it does not name the id 1
+        assert main(["retrieve", "--embeddings", str(path), "--query-ids", "true"]) == 2
+        one_error_line(capsys, "error[validation]:", "unknown query ids: true")
 
 
 class TestRankersAgree:
@@ -387,6 +420,7 @@ class TestEvalSweepUncertaintyAblate:
         (["sweep", "--mc-list", "1,x"], "--mc-list", "integers"),
         (["eval", "--mc", "-2"], "--mc", "must be >= 0"),
         (["embed", "--mc", "-1", "--out", "unused.json"], "--mc", "must be >= 0"),
+        (["eval", "--mc", "abc"], "--mc", "invalid int value: 'abc'"),
     ])
     def test_bad_mc_names_its_flag(self, workspace, capsys, argv, flag, says):
         code = main([argv[0], "--dataset", str(workspace["data"]),

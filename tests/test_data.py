@@ -53,8 +53,9 @@ class TestTailCounts:
             tail_counts(1, 10, 0.0)
         with pytest.raises(ValidationError):
             tail_counts(5, 9, 0.0)
-        with pytest.raises(ValidationError):
-            tail_counts(3, 10, -0.5)
+        for tail in (-0.5, float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="tail"):
+                tail_counts(3, 10, tail)
 
 
 class TestSynth:
@@ -292,7 +293,8 @@ class TestSerialization:
         (lambda rec: rec["payloads"].update(vec=[1.0, 2.0]), r"vec payload must be \[6\]"),
         (lambda rec: rec["payloads"].update(seq=[[1.0, 2.0]] * 3), r"seq payload must be \[T, 4\]"),
         (lambda rec: rec.update(id="it0000"), "duplicate id 'it0000'"),
-    ], ids=["label", "undeclared_modality", "vector_dim", "sequence_width", "duplicate_id"])
+        (lambda rec: rec.update(payloads={}), "item it0001 has no modality payloads"),
+    ], ids=["label", "undeclared_modality", "vector_dim", "sequence_width", "duplicate_id", "no_payloads"])
     def test_validate_and_reader_reject_the_same_mistakes(self, tmp_path, edit, says):
         ds = synth_generate(**tiny_args())
         path = tmp_path / "d.jsonl"

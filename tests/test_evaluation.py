@@ -102,6 +102,28 @@ class TestEvaluate:
         # both candidates at distance 1; "aa" must outrank "zz"
         assert q["ap"] == pytest.approx(1.0)
 
+    def test_labels_and_ids_keep_python_equality(self):
+        # labels 1 and 1.0 are one class and "1" another; ids 3 and "3" tie on the text "3",
+        # so the earlier one ranks first. The expected report was computed with Python ==
+        # on every label pair and a lexsort on the id strings.
+        ids = [3, "3", "a", 2.5, "b", 7, "c", 1.0]
+        labels = [1, "1", 1.0, "1", 2, 2.0, "2", 1]
+        emb = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [0.5, 0.5],
+                        [0.0, 0.0], [1.0, 1.0], [0.5, 0.0], [0.0, 0.5]])
+        rep = evaluate(ids, emb, labels)
+        assert repr(rep.to_dict()) == (
+            "{'micro_map': 0.2744897959183673, 'macro_map': 0.2617724867724867, 'top1': 0.0, "
+            "'top5': 0.7142857142857143, 'queries': 7, 'skipped_singletons': 1, 'per_class': "
+            "{1: 0.3507936507936508, '1': 0.29166666666666663, 2: 0.14285714285714285}, 'config': {}}")
+        assert repr(rep.per_query) == (
+            "[{'id': 3, 'class': 1, 'ap': 0.39285714285714285}, "
+            "{'id': '3', 'class': '1', 'ap': 0.3333333333333333}, "
+            "{'id': 'a', 'class': 1.0, 'ap': 0.26666666666666666}, "
+            "{'id': 2.5, 'class': '1', 'ap': 0.25}, "
+            "{'id': 'b', 'class': 2, 'ap': 0.14285714285714285}, "
+            "{'id': 7, 'class': 2.0, 'ap': 0.14285714285714285}, "
+            "{'id': 1.0, 'class': 1, 'ap': 0.39285714285714285}]")
+
     def test_input_validation(self):
         with pytest.raises(ValidationError):
             evaluate(["a"], np.zeros((1, 2)), ["A"])

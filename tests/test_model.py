@@ -94,11 +94,14 @@ class TestFrameSampling:
         rows = sample_frame_indices([7, 3], 3)
         assert [idx.tolist() for idx in rows] == [[0, 3, 6], [0, 1, 2]]
 
-    def test_deterministic_grid_is_cached_read_only(self):
-        [a] = sample_frame_indices([9], 4)
-        assert a is sample_frame_indices([9], 4)[0]
-        assert a.tolist() == np.round(np.linspace(0, 8, 4)).astype(np.intp).tolist()
-        assert not a.flags.writeable
+    def test_deterministic_grid_is_linspace_and_draws_nothing(self):
+        lengths = [1, 2, 3, 4, 9, 10, 17, 64, 101, 999, 2999]
+        for n in [1, 2, 3, 4, 5, 7, 16, 39]:
+            for rng in (None, RngStream(0, n)):  # one [rows, n] intp array on both paths
+                grid = sample_frame_indices(lengths, n, rng)
+                assert grid.dtype == np.intp and grid.shape == (len(lengths), n)
+            want = [np.round(np.linspace(0, length - 1, n)).astype(np.intp) for length in lengths]
+            assert np.array_equal(sample_frame_indices(lengths, n), want)
         # a rate-0 net draws nothing from the stream it is given
         net = small_net(p=0.0)
         p = payloads(np.random.default_rng(5), t=9)
@@ -233,9 +236,11 @@ class TestBatchPath:
     def test_batch_requires_common_modality(self):
         net = small_net()
         rng = np.random.default_rng(14)
-        batch = [{"vec": rng.normal(size=5)}, {"seq": rng.normal(size=(3, 4))}]
-        with pytest.raises(ValidationError):
-            net.forward_batch(batch, "goal")
+        vec, seq = rng.normal(size=5), rng.normal(size=(3, 4))
+        # disjoint or overlapping, rows of two modality sets are not one batch
+        for batch in ([{"vec": vec}, {"seq": seq}], [{"vec": vec, "seq": seq}, {"vec": vec}]):
+            with pytest.raises(ValidationError, match="same modalities"):
+                net.forward_batch(batch, "goal")
 
 
 class TestGradients:

@@ -59,6 +59,19 @@ class TestAggregate:
             assert np.array_equal(a.variance, b.variance)
 
 
+    @pytest.mark.parametrize("items,mc,d", [(1, 9, 64), (7, 50, 64), (40, 120, 300)])
+    def test_item_blocks_match_per_item_calls(self, items, mc, d):
+        rng = np.random.default_rng(mc)
+        # items of different magnitudes, so that summation order would show in the bits
+        passes = rng.normal(size=(items, mc, d)) * 10.0 ** rng.integers(-3, 4, size=(items, 1, 1))
+        for m in (1, 2, 9, mc):  # prefixes, as a sweep aggregates them
+            got = aggregate_passes(passes[:, :m])
+            assert got.mean.shape == got.variance.shape == (items, d) and got.mc_count == m
+            for i in range(items):
+                one = aggregate_passes(passes[i, :m])
+                assert np.array_equal(got.mean[i], one.mean) and np.array_equal(got.variance[i], one.variance)
+
+
 class TestMcEmbed:
     def test_disabled_collapses_to_deterministic_pass(self):
         net = small_net()
