@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from .config import RunConfig, load_config
+from .config import RunConfig, json_line, load_config
 from .data import PRESETS, preset_args, read_dataset, synth_generate, write_dataset
 from .errors import McRetrievalError, ParseError, ValidationError
 from .evaluation import evaluate, mc_sweep, modality_ablation, ranked_galleries, write_report
@@ -155,8 +155,7 @@ def cmd_uncertainty(args):
     }
     if args.out:
         with open(args.out, "w") as f:
-            json.dump(doc, f, sort_keys=True, separators=(",", ":"))
-            f.write("\n")
+            f.write(json_line(doc))
     print(f"dataset_uncertainty={overall:.6g} over {len(rows)} classes")
     for r in rows:
         print(f"class={str(r['class']):<12s} size={r['size']:<4d} "

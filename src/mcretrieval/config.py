@@ -111,6 +111,11 @@ def load_json(path):
                          line=e.object.count(b"\n", 0, e.start) + 1) from None
 
 
+def json_line(doc) -> str:
+    """doc as one line of compact JSON with sorted keys, the layout of every document the program writes."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def check_json_types(cls, doc: dict, what: str) -> dict:
     """doc, once each value in it has the JSON type of cls's field of that name; else a ValidationError.
 

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .config import check_json_types, number_array
+from .config import check_json_types, json_line, number_array
 from .errors import ParseError, ValidationError
 from .model import SEQUENCE, VECTOR
 from .rng import RngStream
@@ -127,8 +127,7 @@ def write_dataset(path, ds: DatasetFile):
         "sessions": ds.has_sessions,
     }
     with open(path, "w") as f:
-        f.write(json.dumps(header, sort_keys=True, separators=(",", ":")))
-        f.write("\n")
+        f.write(json_line(header))
         for it in ds.items:
             rec = {
                 "id": it.id,
@@ -139,8 +138,7 @@ def write_dataset(path, ds: DatasetFile):
             }
             if it.session is not None:
                 rec["session"] = it.session
-            f.write(json.dumps(rec, sort_keys=True, separators=(",", ":")))
-            f.write("\n")
+            f.write(json_line(rec))
 
 
 @contextmanager

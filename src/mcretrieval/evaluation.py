@@ -6,13 +6,13 @@ deterministic tie-break. Average precision is the non-interpolated kind:
 the mean of precision-at-rank over the ranks that hold a relevant item.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import json_line
 from .errors import ValidationError
-from .mining import label_codes, pairwise_distances, row_blocks
+from .mining import class_order, label_codes, pairwise_distances, row_blocks
 
 
 def average_precision(relevance) -> float:
@@ -46,7 +46,8 @@ class RetrievalReport:
             "top5": self.top5,
             "queries": self.queries,
             "skipped_singletons": self.skipped_singletons,
-            "per_class": self.per_class,
+            # rows, not an object: classes 1 and "1" are two classes but one JSON key
+            "per_class": [{"class": c, "map": self.per_class[c]} for c in class_order(self.per_class)],
             "config": self.config,
         }
 
@@ -167,5 +168,4 @@ def write_report(path, rows_or_report):
         doc = {"columns": columns,
                "rows": [[row[c] for c in columns] for row in rows]}
     with open(path, "w") as f:
-        json.dump(doc, f, sort_keys=True, separators=(",", ":"))
-        f.write("\n")
+        f.write(json_line(doc))

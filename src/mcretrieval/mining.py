@@ -45,6 +45,11 @@ def label_codes(labels) -> np.ndarray:
     return np.array([codes.setdefault(lab, len(codes)) for lab in labels], dtype=np.intp)
 
 
+def class_order(classes) -> list:
+    """Classes sorted numbers first, then any other label by its text, so a mixed vocabulary still sorts."""
+    return sorted(classes, key=lambda c: (0, c) if isinstance(c, (int, float)) else (1, str(c)))
+
+
 @dataclass
 class PkBatch:
     """Indices for a P-class, K-items-per-class batch."""
@@ -63,8 +68,7 @@ def pk_sample(labels, p: int, k: int, rng: RngStream) -> PkBatch:
     by_class = {}
     for i, lab in enumerate(labels):
         by_class.setdefault(lab, []).append(i)
-    # numbers first, then any other label by its text, so a mixed vocabulary still sorts
-    classes = sorted(by_class, key=lambda c: (0, c) if isinstance(c, (int, float)) else (1, str(c)))
+    classes = class_order(by_class)
     eligible = [c for c in classes if len(by_class[c]) >= k]
     if len(eligible) < p:
         deficient = [c for c in classes if len(by_class[c]) < k]

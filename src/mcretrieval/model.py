@@ -7,7 +7,6 @@ before L2 normalization. Dropout sits in front of every weight layer;
 the hidden-to-hidden path of the recurrence carries none.
 """
 
-import json
 import os
 from dataclasses import asdict, dataclass
 
@@ -23,7 +22,7 @@ from .autodiff import (
     relu,
     rnn_steps,
 )
-from .config import check_json_types, load_json, number_array
+from .config import check_json_types, json_line, load_json, number_array
 from .errors import ShapeError, ValidationError
 from .rng import RngStream
 
@@ -317,7 +316,7 @@ class ConditionalNet:
 
 def save_checkpoint(net: ConditionalNet, path):
     """Write a self-describing checkpoint atomically; identical nets produce identical bytes."""
-    text = json.dumps(net.to_checkpoint(), sort_keys=True, separators=(",", ":")) + "\n"
+    text = json_line(net.to_checkpoint())
     tmp = f"{path}.tmp"
     with open(tmp, "w") as f:
         f.write(text)

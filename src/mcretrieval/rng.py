@@ -18,8 +18,9 @@ from .errors import ValidationError
 _MASK64 = (1 << 64) - 1
 _LOW32 = np.uint64(0xFFFFFFFF)
 
-# bytes of Philox words a RowStreams buffers across all its rows
+# bytes of Philox words a RowStreams buffers across all its rows, and words it buffers per row at most
 RNG_BYTES = 4 << 20
+ROW_WORDS = 2048
 
 
 class RngStream:
@@ -59,12 +60,61 @@ class RngStream:
         return self._gen.choice(n, size=size, replace=replace)
 
     def frame_picks(self, lengths, n: int) -> np.ndarray:
-        """[rows, n] frame indices, each row ascending: one choice per row length, in row order.
+        """[rows, n] frame indices, each row ascending: choice(length, n) per row, in row order, from one fetch."""
+        bitgen = self._gen.bit_generator
+        state = bitgen.state
+        held = state["has_uint32"]
 
-        A row draws without replacement unless its length is below n.
-        """
-        return np.array([np.sort(self._gen.choice(length, size=n, replace=length < n))
-                         for length in lengths], dtype=np.intp)
+        def halves(counts):
+            # the fetch leaves the generator holding what one choice per row would leave it
+            drawn = int(counts.sum()) - held
+            words = bitgen.random_raw(max(drawn + 1, 0) // 2)
+            after = bitgen.state
+            after["has_uint32"] = drawn % 2
+            after["uinteger"] = int(words[-1] >> np.uint64(32)) if len(words) else after["uinteger"]
+            bitgen.state = after
+            return np.array([[state["uinteger"]]], np.uint64), words[None], 1 - held + np.cumsum(counts) - counts
+
+        picks, _, redo = choice_rows(lengths, n, halves)
+        if redo.any():  # one choice per row, from the state before the call
+            bitgen.state = state
+            return np.array([np.sort(self._gen.choice(length, size=n, replace=length < n))
+                             for length in lengths], dtype=np.intp)
+        return picks
+
+
+def choice_rows(lengths, n: int, halves):
+    """Generator.choice(length, n, replace=length < n) per row as array ops: (picks, half words drawn, rows to redo).
+
+    numpy draws n times on [0, length - 1] with replacement; without, on [0, j] for j = length - n, ...,
+    length - 1 (Floyd: a repeat takes j), then on [0, i] for i = n - 1, ..., 1 to shuffle. A draw is Lemire's:
+    half word h gives h * (bound + 1) >> 32; a 0 bound takes none. halves(counts) gives (held, words, start):
+    a [rows or 1, 1] held upper half, then [rows or 1, k] words; row r's half words start at column start[r].
+    Rows to redo with numpy's own choice: those off Floyd's path (length > 10000 and n > length // 50, or a
+    bound past 32 bits), given no half words, and those Lemire's method might reject (low half below bound + 1).
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    replace = lengths < n
+    off = ~replace & (((lengths > 10000) & (n > lengths // 50)) | (lengths > 1 << 32))
+    t = np.arange(2 * n - 1)
+    bounds = np.where(replace[:, None], np.where(t < n, lengths[:, None] - 1, 0),
+                      np.where(t < n, lengths[:, None] - n + t, 2 * n - 1 - t)) * ~off[:, None]
+    live = bounds != 0
+    counts = live.sum(axis=1)
+    held, words, start = halves(counts)
+    # next_uint32's order: the held upper half, then each word's lower and upper half
+    stream = np.concatenate([held, words.astype("<u8", copy=False).view("<u4")], axis=-1)
+    excl = bounds.astype(np.uint64) + np.uint64(1)
+    # a 0 bound takes no half word: its value is 0 whatever word it is shown
+    m = np.take_along_axis(stream, start[:, None] + np.cumsum(live, axis=1) - 1, axis=1) * excl
+    # numpy rejects a low half below (2**32 - excl) % excl; this redoes every row that might reject
+    redo = off | ((m & _LOW32) < excl).any(axis=1)
+    picks = (m[:, :n] >> np.uint64(32)).astype(np.intp)
+    for k in range(1, n):
+        repeat = ~replace & (picks[:, :k] == picks[:, k, None]).any(axis=1)
+        picks[:, k] = np.where(repeat, lengths - n + k, picks[:, k])
+    picks.sort(axis=1)
+    return picks, counts, redo
 
 
 class RowStreams:
@@ -73,7 +123,7 @@ class RowStreams:
     One shared Philox serves every row: Philox is counter-based, so it is
     moved to a row's key and word position by setting its state, and it
     then hands over the row's next words with one random_raw call. The
-    words wait in a [rows, W] buffer, W = max(request, RNG_BYTES // (8 * rows)),
+    words wait in a [rows, W] buffer, W = max(request, min(RNG_BYTES // (8 * rows), ROW_WORDS)),
     and each row keeps its own cursor into it and numpy's buffered upper
     half word. uniform() and frame_picks() turn words into doubles and
     bounded integers with array ops across rows.
@@ -107,7 +157,7 @@ class RowStreams:
 
     def _refill(self, rows, k: int):
         """Buffer at least k words of each of rows, from the row's position on."""
-        width = max(k, RNG_BYTES // (8 * len(self._rows)))
+        width = max(k, min(RNG_BYTES // (8 * len(self._rows)), ROW_WORDS))
         if width > self._words.shape[1]:
             # a wider buffer: every row fetches again from where it stands
             self._words = np.empty((len(self._rows), width), np.uint64)
@@ -118,50 +168,24 @@ class RowStreams:
             self._words[r] = self._bitgen.random_raw(width + lead)[lead:]
         self._start[rows] = self._pos[rows]
 
-    def _take(self, rows, k: int) -> np.ndarray:
-        """The next k words of each of rows (distinct indices), [len(rows), k]."""
-        col = self._pos[rows] - self._start[rows]
+    def _take(self, k: int) -> np.ndarray:
+        """The next k words of every row, [rows, k]."""
+        col = self._pos - self._start
         short = col + k > self._words.shape[1]
         if short.any():
-            self._refill(rows[short], k)
-            col = self._pos[rows] - self._start[rows]
-        self._pos[rows] += k
+            self._refill(self._rows[short], k)
+            col = self._pos - self._start
+        self._pos += k
         if len(col) and col.min() == col.max():
             # rows in step, the common case: a slice, not a gather
-            return self._words[rows, col[0]:col[0] + k]
-        return self._words[rows[:, None], col[:, None] + np.arange(k)]
-
-    def _next_uint32(self, rows) -> np.ndarray:
-        """numpy's next_uint32 per row: the held upper half of the last word, else the lower half of a new one."""
-        has = self._has_half[rows]
-        out = np.empty(len(rows), np.uint64)
-        out[has] = self._half[rows[has]]
-        fresh = rows[~has]
-        words = self._take(fresh, 1)[:, 0]
-        out[~has] = words & _LOW32
-        self._half[fresh] = words >> np.uint64(32)
-        self._has_half[rows] = ~has
-        return out
-
-    def _bounded(self, rows, bounds) -> np.ndarray:
-        """numpy's bounded draw on [0, bound] per row, bound < 2**32: Lemire's method; a 0 bound draws nothing."""
-        out = np.zeros(len(rows), np.uint64)
-        live = np.flatnonzero(bounds)
-        excl = bounds[live].astype(np.uint64) + np.uint64(1)
-        threshold = (np.uint64(1 << 32) - excl) % excl
-        while len(live):
-            # a rejected row draws again on its own
-            m = self._next_uint32(rows[live]) * excl
-            out[live] = m >> np.uint64(32)
-            again = (m & _LOW32) < threshold
-            live, excl, threshold = live[again], excl[again], threshold[again]
-        return out
+            return self._words[:, col[0]:col[0] + k]
+        return np.take_along_axis(self._words, col[:, None] + np.arange(k), axis=1)
 
     def _numpy_choice(self, r: int, length: int, n: int) -> np.ndarray:
-        """Row r's choice(length, n, replace=False) from numpy itself, on the row's exact state."""
+        """Row r's choice(length, n) from numpy itself, on the row's exact state."""
         lead = self._seek(r, int(self._pos[r]), int(self._has_half[r]), int(self._half[r]))
         self._bitgen.random_raw(lead)
-        picks = np.random.Generator(self._bitgen).choice(length, size=n, replace=False)
+        picks = np.random.Generator(self._bitgen).choice(length, size=n, replace=length < n)
         state = self._bitgen.state
         self._pos[r] = 4 * int(state["state"]["counter"][0]) + state["buffer_pos"] - 4
         self._has_half[r] = state["has_uint32"]
@@ -172,37 +196,24 @@ class RowStreams:
         """Row r of a [rows, k] draw holds the next k doubles of stream r."""
         if len(shape) != 2 or shape[0] != len(self._rows):
             raise ValidationError(f"need a [{len(self._rows)}, k] shape, got {tuple(shape)}")
-        return (self._take(self._rows, shape[1]) >> np.uint64(11)) * 2.0 ** -53
+        return (self._take(shape[1]) >> np.uint64(11)) * 2.0 ** -53
 
     def frame_picks(self, lengths, n: int) -> np.ndarray:
-        """[rows, n] frame indices, row r ascending: Generator.choice(lengths[r], n) on stream r.
+        """[rows, n] frame indices, row r ascending: choice(lengths[r], n) on stream r, from one _take.
 
-        A row draws without replacement unless its length is below n.
-        This reproduces the draws numpy's choice consumes: integers in
-        [0, length) with replacement; Floyd's algorithm and then a
-        shuffle of the n picks without. A row numpy would take off
-        Floyd's path (length > 10000 and n > length // 50), or whose
-        bounds pass 32 bits, runs numpy's own choice.
+        Each row gives back the words it did not draw; a row to redo runs numpy's own choice.
         """
         lengths = np.asarray(lengths, dtype=np.int64)
         if lengths.shape != self._rows.shape:
             raise ValidationError(f"need {len(self._rows)} row lengths, got shape {lengths.shape}")
-        picks = np.empty((len(self._rows), n), np.intp)
-        with_replacement = lengths < n
-        alone = ~with_replacement & (((lengths > 10000) & (n > lengths // 50)) | (lengths > 1 << 32))
-        rows = self._rows[with_replacement]
-        for t in range(n):
-            picks[rows, t] = self._bounded(rows, lengths[rows] - 1)
-        rows = self._rows[~with_replacement & ~alone]
-        for t in range(n):
-            # Floyd: draw from [0, j] for j = length - n, ..., length - 1; a repeat takes j itself
-            j = lengths[rows] - n + t
-            val = self._bounded(rows, j).astype(np.int64)
-            repeat = (picks[rows, :t] == val[:, None]).any(axis=1)
-            picks[rows, t] = np.where(repeat, j, val)
-        for i in range(n - 1, 0, -1):
-            self._bounded(rows, np.full(len(rows), i))
-        for r in np.flatnonzero(alone).tolist():
-            picks[r] = self._numpy_choice(r, int(lengths[r]), n)
-        picks.sort(axis=1)
+        has = self._has_half
+        words = self._take(n)  # a row draws at most 2n - 1 half words
+        picks, counts, redo = choice_rows(lengths, n, lambda counts: (self._half[:, None], words, 1 - has))
+        need = np.where(redo, 0, (np.maximum(counts - has, 0) + 1) // 2)
+        self._pos -= n - need
+        self._has_half = np.where(redo, has, (counts - has) % 2 == 1)
+        drew = need > 0
+        self._half[drew] = words[drew, need[drew] - 1] >> np.uint64(32)
+        for r in np.flatnonzero(redo).tolist():
+            picks[r] = np.sort(self._numpy_choice(r, int(lengths[r]), n))
         return picks

@@ -7,7 +7,6 @@ embeddings are computed without a mask source, so without dropout; the
 gradient step itself runs stochastic forwards.
 """
 
-import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -15,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff
-from .config import RunConfig, SOFT_MARGIN, TRIPLET
+from .config import RunConfig, SOFT_MARGIN, TRIPLET, json_line
 from .data import DatasetFile
 from .errors import DivergenceError, ValidationError
 from .losses import batch_objective, mask_penalty, triplet_batch_term
@@ -154,8 +153,5 @@ def train(dataset: DatasetFile, cfg: RunConfig, out_dir=None, notions=None) -> T
         })
     if out_dir is not None:
         save_checkpoint(net, out_dir / "checkpoint.json")
-        with open(out_dir / "history.json", "w") as f:
-            json.dump({"config": cfg.to_dict(), "epochs": history}, f,
-                      sort_keys=True, separators=(",", ":"))
-            f.write("\n")
+        (out_dir / "history.json").write_text(json_line({"config": cfg.to_dict(), "epochs": history}))
     return TrainResult(net=net, history=history, config=cfg.to_dict())

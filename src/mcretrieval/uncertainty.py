@@ -6,13 +6,12 @@ per-dimension sample variance over the same passes is the model's
 uncertainty about the item. mc = 0 is the deterministic baseline.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff
-from .config import number_array
+from .config import json_line, number_array
 from .data import at_line, check_id, json_lines
 from .errors import ValidationError
 from .rng import RowStreams
@@ -201,8 +200,7 @@ def write_embeddings(path, ids, means, variances, notion: str, mc: int):
                 "mean": [float(x) for x in means[i]],
                 "variance": [float(x) for x in variances[i]],
             }
-            f.write(json.dumps(rec, sort_keys=True, separators=(",", ":")))
-            f.write("\n")
+            f.write(json_line(rec))
 
 
 def read_embeddings(path) -> EmbeddingFile:

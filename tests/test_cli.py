@@ -364,6 +364,20 @@ class TestEvalSweepUncertaintyAblate:
         assert doc["config"]["mc"] == 4
         assert "micro_map=" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("rename, classes", [
+        (lambda c: c if int(c[4:]) % 2 else int(c[4:]), [0, 2, "goal1", "goal3"]),
+        (lambda c: {"goal0": 1, "goal1": "1"}.get(c, c), [1, "1", "goal2", "goal3"]),
+    ], ids=["mixed", "colliding"])
+    def test_eval_report_has_one_row_per_class(self, workspace, tmp_path, capsys, rename, classes):
+        # numbers and strings do not sort together, and 1 and "1" would share one JSON key
+        data = relabel(workspace["data"], tmp_path / "relabeled.jsonl", "goal", rename)
+        out = tmp_path / "report.json"
+        assert main(["eval", "--dataset", str(data), "--checkpoint", str(workspace["ckpt"]),
+                     "--notion", "goal", "--mc", "2", "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["per_class"]
+        assert [r["class"] for r in rows] == classes
+        assert all(0.0 <= r["map"] <= 1.0 for r in rows)
+
     def test_eval_mc_defaults_to_50(self):
         args = build_parser().parse_args(
             ["eval", "--dataset", "d", "--checkpoint", "c", "--notion", "goal"])

@@ -114,7 +114,8 @@ class TestEvaluate:
         assert repr(rep.to_dict()) == (
             "{'micro_map': 0.2744897959183673, 'macro_map': 0.2617724867724867, 'top1': 0.0, "
             "'top5': 0.7142857142857143, 'queries': 7, 'skipped_singletons': 1, 'per_class': "
-            "{1: 0.3507936507936508, '1': 0.29166666666666663, 2: 0.14285714285714285}, 'config': {}}")
+            "[{'class': 1, 'map': 0.3507936507936508}, {'class': 2, 'map': 0.14285714285714285}, "
+            "{'class': '1', 'map': 0.29166666666666663}], 'config': {}}")
         assert repr(rep.per_query) == (
             "[{'id': 3, 'class': 1, 'ap': 0.39285714285714285}, "
             "{'id': '3', 'class': '1', 'ap': 0.3333333333333333}, "

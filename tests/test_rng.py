@@ -1,4 +1,4 @@
-"""RowStreams against numpy's own Generator, row for row."""
+"""RngStream and RowStreams frame picks against numpy's own Generator, row for row."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcretrieval import RngStream, ValidationError, rng
-from mcretrieval.rng import RowStreams
+from mcretrieval.rng import RowStreams, choice_rows
 
 U64 = st.integers(0, 2**64 - 1)
 
@@ -71,6 +71,46 @@ def test_rows_at_different_positions_stay_exact():
     assert np.array_equal(got, [numpy_picks(g, length, 5) for g, length in zip(gens, lengths)])
     assert len(set(streams._pos.tolist())) > 1
     assert np.array_equal(streams.uniform((16, 40)), [g.random(40) for g in gens])
+
+
+@settings(max_examples=60, deadline=None)
+@given(key=st.tuples(U64, U64), data=st.data())
+def test_rngstream_picks_draw_what_row_by_row_choice_draws(key, data):
+    stream = RngStream(*key)
+    gen = np.random.Generator(np.random.Philox(key=np.array(key, np.uint64)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        # a bound below 2**32 takes a half word, so a call may start on numpy's held upper half
+        for high in data.draw(st.lists(st.integers(1, 2**33), max_size=3)):
+            assert stream._gen.integers(high) == gen.integers(high)
+        n = data.draw(st.one_of(st.integers(1, 8), st.integers(201, 240)))
+        lengths = data.draw(st.lists(lengths_for(n), min_size=1, max_size=6))
+        got = stream.frame_picks(lengths, n)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, [numpy_picks(gen, length, n) for length in lengths])
+        # and the stream stands where numpy's generator stands, held half word included
+        assert stream.uniform() == gen.random()
+        assert stream._gen.integers(2**20) == gen.integers(2**20)
+
+
+def test_rejections_redo_with_numpy_in_both_classes(monkeypatch):
+    # bounds just past 2**31 may reject about half of their draws, so some rows go to numpy's own choice
+    redone = []
+
+    def recording(*args):
+        picks, counts, redo = choice_rows(*args)
+        redone.append(int(redo.sum()))
+        return picks, counts, redo
+
+    monkeypatch.setattr(rng, "choice_rows", recording)
+    lengths = [2**31 + 6 + j for j in range(15)] + [7]
+    keys = [(11, j) for j in range(16)]
+    gens = [np.random.Generator(np.random.Philox(key=np.array(k, np.uint64))) for k in keys]
+    got = RowStreams(keys).frame_picks(lengths, 5)
+    assert np.array_equal(got, [numpy_picks(g, length, 5) for g, length in zip(gens, lengths)])
+    gen = np.random.Generator(np.random.Philox(key=np.array(keys[0], np.uint64)))
+    got = RngStream(*keys[0]).frame_picks(lengths, 5)
+    assert np.array_equal(got, [numpy_picks(gen, length, 5) for length in lengths])
+    assert len(redone) == 2 and min(redone) > 0
 
 
 def test_rngstream_frame_picks_draw_row_after_row():
