@@ -14,7 +14,7 @@ import numpy as np
 from .config import RunConfig, json_line, load_config
 from .data import PRESETS, preset_args, read_dataset, synth_generate, write_dataset
 from .errors import McRetrievalError, ParseError, ValidationError
-from .evaluation import evaluate, mc_sweep, modality_ablation, ranked_galleries, write_report
+from .evaluation import evaluate, gathered_distances, mc_sweep, modality_ablation, ranked_galleries, write_report
 from .model import load_checkpoint
 from .training import train
 from .uncertainty import (
@@ -67,22 +67,23 @@ def cmd_embed(args):
 
 
 def cmd_retrieve(args):
-    from .mining import pairwise_distances
-
     emb = read_embeddings(args.embeddings)
     queries = _split_csv(args.query_ids) or []
     if not queries:
         raise ValidationError("--query-ids must name at least one item")
+    # q names each id whose text it is, the key ranked_galleries breaks ties on (ids 3 and "3"
+    # share one), and, if it is a JSON number, the id of that value however spelt (1e20, 1.50)
+    by_text, by_id = {}, {item_id: i for i, item_id in enumerate(emb.ids)}
+    for i, item_id in enumerate(emb.ids):
+        by_text.setdefault(str(item_id), set()).add(i)
     named = {}
     for q in queries:
         try:
             value = json.loads(q)
         except ValueError:
             value = None
-        # q names each id whose text it is, the key ranked_galleries breaks ties on (ids 3 and "3"
-        # share one), and, if it is a JSON number, the id of that value however spelt (1e20, 1.50)
-        named[q] = [i for i, item_id in enumerate(emb.ids)
-                    if str(item_id) == q or type(value) in (int, float) and item_id == value]
+        number = {by_id[value]} if type(value) in (int, float) and value in by_id else set()
+        named[q] = sorted(by_text.get(q, set()) | number)
     missing = [q for q in queries if not named[q]]
     if missing:
         raise ValidationError(f"unknown query ids: {', '.join(missing)}")
@@ -92,10 +93,10 @@ def cmd_retrieve(args):
     if args.k < 1:
         raise ValidationError("--k must be >= 1")
     rows = [named[q][0] for q in queries]
-    dist = pairwise_distances(emb.means, rows)
-    for q, row, order in zip(queries, dist, ranked_galleries(dist, emb.ids, rows)):
-        for rank, i in enumerate(order[: args.k], start=1):
-            print(f"{q}\t{rank}\t{emb.ids[i]}\t{row[i]:.6f}")
+    for q, row, order in zip(queries, rows, ranked_galleries(emb.means, emb.ids, rows)):
+        top = order[: args.k]
+        for rank, (i, dist) in enumerate(zip(top, gathered_distances(emb.means, row, top)), start=1):
+            print(f"{q}\t{rank}\t{emb.ids[i]}\t{dist:.6f}")
     return 0
 
 

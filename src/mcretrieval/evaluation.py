@@ -11,19 +11,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import json_line
-from .errors import ValidationError
+from .errors import ShapeError, ValidationError
 from .mining import class_order, label_codes, pairwise_distances, row_blocks
 
 
 def average_precision(relevance) -> float:
     """AP of one ranked list given binary relevance flags, best rank first."""
-    relevance = np.asarray(relevance, dtype=bool)
-    n_rel = int(relevance.sum())
-    if n_rel == 0:
+    ranks = np.flatnonzero(np.asarray(relevance, dtype=bool)) + 1
+    if not ranks.size:
         raise ValidationError("average_precision needs at least one relevant item")
-    ranks = np.flatnonzero(relevance) + 1
-    hits = np.arange(1, n_rel + 1)
-    return float(np.mean(hits / ranks))
+    return float(np.mean(np.arange(1, ranks.size + 1) / ranks))
 
 
 @dataclass
@@ -52,13 +49,52 @@ class RetrievalReport:
         }
 
 
-def ranked_galleries(dist, ids, queries):
-    """Per query index and its distance row: the other items by ascending distance, ties by str(id)."""
-    # equal texts share a rank, and lexsort keeps their order by index
-    _, rank = np.unique([str(i) for i in ids], return_inverse=True)
-    for row, q in zip(dist, queries):
-        order = np.lexsort((rank, row))
-        yield order[order != q]
+# squared norms up to 2**1021 keep every squared distance, and every sum behind one, finite
+MAX_SQUARED_NORM = 2.0 ** 1021
+
+
+def gathered_distances(embeddings, q, cols) -> np.ndarray:
+    """Exact distances from item q to items cols: the bits of pairwise_distances(embeddings, [q])[0, cols]."""
+    return pairwise_distances(embeddings[np.r_[q, cols]], [0])[0, 1:]
+
+
+def ranked_galleries(embeddings, ids, queries):
+    """Per query index: the other items by exact distance, ties by str(id), then index, bit for bit.
+
+    A query block sorts by S = |q|^2 + |e|^2 - 2 q.e from one matmul, within r of the exact
+    path's squared sum: r bounds both paths' rounding (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 3.1 and 4.2), a sqrt margin (sums rounding to one distance tie) and
+    underflow. Only runs of items whose S +- r intervals overlap get exact distances.
+    """
+    e = np.asarray(embeddings, dtype=np.float64)
+    if e.ndim != 2:
+        raise ShapeError(f"embeddings must be [n, d], got {e.shape}")
+    n, d = e.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.einsum("ij,ij->i", e, e)
+    big = np.flatnonzero(~(norms <= MAX_SQUARED_NORM))  # NaN too
+    if big.size:
+        raise ValidationError(f"embedding of item {ids[big[0]]} is too large to rank (squared norm above 2**1021)")
+    _, text = np.unique([str(i) for i in ids], return_inverse=True)  # ids 3 and "3" share one text
+    rel = (8 * d + 64) * 2.0 ** -53  # 2 (gamma_(4d+10) + 11u): both paths' rounding, the sqrt margin, r's own
+    floor = 16 * (d + 1) * np.finfo(np.float64).tiny  # 2**-1022 per product for underflow, even flushed
+    for blk in row_blocks(len(queries), 10 * n * 8):  # ten [block, n] temporaries
+        block = queries[blk]
+        s = norms[block, None] + norms - 2 * (e[block] @ e.T)
+        s[np.arange(len(block)), block] = -np.inf  # each query sorts first, alone, and is dropped
+        order = np.argsort(s, axis=1)
+        s = np.take_along_axis(s, order, axis=1)
+        r = rel * (norms[block, None] + norms[order]) + floor
+        hi = np.maximum.accumulate(s + r, axis=1)
+        lo = np.minimum.accumulate((s - r)[:, ::-1], axis=1)[:, ::-1]
+        # cut[:, t]: every item sorted before position t is strictly nearer than every one from t on
+        cut = np.pad(hi[:, :-1] < lo[:, 1:], ((0, 0), (1, 1)), constant_values=True)
+        alone = cut[:, :-1] & cut[:, 1:]
+        for i in np.flatnonzero(~alone.all(axis=1)):
+            pos = np.flatnonzero(~alone[i])
+            cols, run = order[i, pos], np.cumsum(cut[i, :-1])[pos]
+            order[i, pos] = cols[np.lexsort((cols, text[cols], gathered_distances(e, block[i], cols), run))]
+        yield from order[:, 1:]
 
 
 def evaluate(ids, embeddings, labels, config=None) -> RetrievalReport:
@@ -81,32 +117,25 @@ def evaluate(ids, embeddings, labels, config=None) -> RetrievalReport:
     queries = np.flatnonzero(np.bincount(codes)[codes] >= 2)
     if not queries.size:
         raise ValidationError("no class has two members; nothing to evaluate")
-    per_query = []
-    by_class = {}
-    top1_hits = 0
-    top5_hits = 0
-    # one [block, n] distance matrix at a time, each under mining.BLOCK_BYTES
-    for blk in row_blocks(len(queries), len(ids) * 8):
-        block = queries[blk]
-        dist = pairwise_distances(embeddings, block)
-        for q, order in zip(block, ranked_galleries(dist, ids, block)):
-            rel = codes[order] == codes[q]
-            ap = average_precision(rel)
-            per_query.append({"id": ids[q], "class": labels[q], "ap": ap})
-            by_class.setdefault(labels[q], []).append(ap)
-            top1_hits += bool(rel[0])
-            top5_hits += bool(rel[:5].any())
+    per_query, by_class = [], {}
+    top1_hits = top5_hits = 0
+    for q, order in zip(queries, ranked_galleries(embeddings, ids, queries)):
+        rel = codes[order] == codes[q]
+        ap = average_precision(rel)
+        per_query.append({"id": ids[q], "class": labels[q], "ap": ap})
+        by_class.setdefault(labels[q], []).append(ap)
+        top1_hits += bool(rel[0])
+        top5_hits += bool(rel[:5].any())
 
-    n_q = len(per_query)
     class_means = {lab: float(np.mean(aps)) for lab, aps in by_class.items()}
     return RetrievalReport(
         micro_map=float(np.mean([r["ap"] for r in per_query])),
         macro_map=float(np.mean(list(class_means.values()))),
-        top1=top1_hits / n_q,
-        top5=top5_hits / n_q,
+        top1=top1_hits / queries.size,
+        top5=top5_hits / queries.size,
         per_query=per_query,
         per_class=class_means,
-        queries=n_q,
+        queries=queries.size,
         skipped_singletons=len(ids) - len(queries),
         config=dict(config or {}),
     )

@@ -330,6 +330,32 @@ class TestEmbedRetrieve:
         one_error_line(capsys, "error[validation]:", "unknown query ids: true")
 
 
+class TestRankingOverflow:
+    def test_overflowing_embeddings_exit_2_naming_the_first_id(self, tmp_path, capsys):
+        # b is 2e300 from a and c about 1e300, but both squared distances overflow
+        path = tmp_path / "huge.jsonl"
+        means = np.array([[1e300, 0.0], [-1e300, 0.0], [0.0, 1.0]])
+        write_embeddings(path, ["a", "b", "c"], means, np.zeros_like(means), "goal", 0)
+        assert main(["retrieve", "--embeddings", str(path), "--query-ids", "a", "--k", "3"]) == 2
+        one_error_line(capsys, "error[validation]:", "item a is too large to rank")
+
+    def test_squared_norm_limit_at_its_edge(self, tmp_path, capsys):
+        top = 2.0 ** 510  # [top, top] has squared norm 2**1021, the largest accepted
+        means = np.array([[top, top], [-top, -top], [0.0, 1.0]])
+        path = tmp_path / "edge.jsonl"
+        write_embeddings(path, ["a", "b", "c"], means, np.zeros_like(means), "goal", 0)
+        assert main(["retrieve", "--embeddings", str(path), "--query-ids", "a,b", "--k", "2"]) == 0
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+        assert [(q, hit) for q, _, hit, _ in rows] == [("a", "c"), ("a", "b"), ("b", "c"), ("b", "a")]
+        dists = [float(d) for *_, d in rows]
+        assert all(np.isfinite(dists)) and dists[1] == pytest.approx(2.0 ** 511.5)
+        means[2, 1] = np.nextafter(top, np.inf)  # the smallest coordinate past the limit
+        means[2, 0] = top
+        write_embeddings(path, ["a", "b", "c"], means, np.zeros_like(means), "goal", 0)
+        assert main(["retrieve", "--embeddings", str(path), "--query-ids", "a", "--k", "2"]) == 2
+        one_error_line(capsys, "error[validation]:", "item c is too large to rank")
+
+
 class TestRankersAgree:
     def test_retrieve_and_evaluate_break_distance_ties_by_id(self, tmp_path, capsys):
         # four items at exactly distance 1 from "q", listed out of id order

@@ -1,18 +1,31 @@
-"""Ranking metrics against hand-worked fixtures."""
+"""Ranking metrics against hand-worked fixtures, and the Gram ranker against the exact path."""
 
+import contextlib
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from mcretrieval import ValidationError
+from mcretrieval import ShapeError, ValidationError, evaluation
+from mcretrieval.cli import main
 from mcretrieval.evaluation import (
+    RetrievalReport,
     average_precision,
     evaluate,
+    gathered_distances,
     mc_sweep,
     modality_ablation,
+    ranked_galleries,
     write_report,
 )
+from mcretrieval.mining import label_codes, pairwise_distances
+from mcretrieval.uncertainty import write_embeddings
 
 
 class TestAveragePrecision:
@@ -134,6 +147,8 @@ class TestEvaluate:
             evaluate(["a", "b"], np.zeros((2, 2)), ["A"])
         with pytest.raises(ValidationError):
             evaluate(["a", "b"], np.zeros((2, 2)), ["A", "B"])
+        with pytest.raises(ShapeError):
+            evaluate(["a", "b"], np.zeros(2), ["A", "A"])
 
 
 def fake_embed_factory():
@@ -213,3 +228,142 @@ class TestReportFile:
     def test_empty_rows_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
             write_report(tmp_path / "x.json", [])
+
+
+def exact_rankings(e, ids, queries):
+    """The exact path: each query's distance row and the other items by lexsort on (distance, id text)."""
+    _, text = np.unique([str(i) for i in ids], return_inverse=True)
+    dist = pairwise_distances(e, queries)
+    orders = [np.lexsort((text, row)) for row in dist]
+    return [(row, order[order != q]) for row, q, order in zip(dist, queries, orders)]
+
+
+def exact_report(ids, e, labels):
+    """evaluate's report computed on the exact path's rankings."""
+    codes = label_codes(labels)
+    queries = np.flatnonzero(np.bincount(codes)[codes] >= 2)
+    per_query, by_class, top1, top5 = [], {}, 0, 0
+    for q, (_, order) in zip(queries, exact_rankings(e, ids, queries)):
+        rel = codes[order] == codes[q]
+        ap = average_precision(rel)
+        per_query.append({"id": ids[q], "class": labels[q], "ap": ap})
+        by_class.setdefault(labels[q], []).append(ap)
+        top1 += bool(rel[0])
+        top5 += bool(rel[:5].any())
+    means = {lab: float(np.mean(aps)) for lab, aps in by_class.items()}
+    return RetrievalReport(float(np.mean([r["ap"] for r in per_query])), float(np.mean(list(means.values()))),
+                           top1 / len(queries), top5 / len(queries), per_query, means, len(queries),
+                           len(ids) - len(queries))
+
+
+def retrieve_stdout(ids, e, queries, k):
+    """What `retrieve --k k` prints for the given query ids, through a written embeddings file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "emb.jsonl"
+        write_embeddings(path, ids, e, np.zeros_like(e), "goal", 0)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["retrieve", "--embeddings", str(path),
+                         "--query-ids", ",".join(str(ids[q]) for q in queries), "--k", str(k)])
+    assert code == 0
+    return out.getvalue()
+
+
+FAMILIES = ("ties", "duplicates", "near-ties", "scaled")
+
+
+def family_embeddings(family, n, d, exp, seed):
+    """n x d embeddings of one family, scaled by a power of two (exact, so ties survive it)."""
+    rng = np.random.default_rng(seed)
+    if family == "ties":  # coordinates from five values
+        e = rng.integers(-2, 3, size=(n, d)) * 0.5
+    elif family == "duplicates":  # at most n // 2 + 1 distinct points
+        m = rng.integers(1, n // 2 + 2)
+        e = rng.normal(size=(m, d))[rng.integers(0, m, size=n)]
+    elif family == "near-ties":  # a few points, copies of them one ulp apart in some coordinates
+        e = rng.normal(size=(max(1, n // 4), d))[rng.integers(0, max(1, n // 4), size=n)]
+        flip = rng.random((n, d)) < 0.3
+        e = np.where(flip, np.nextafter(e, np.where(rng.random((n, d)) < 0.5, -np.inf, np.inf)), e)
+    else:  # row norms spread over ten decades
+        e = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(0, 10, size=(n, 1))
+    top = np.abs(e).max()
+    # d < 2**8, so coordinates below 2**506 keep squared norms under the 2**1021 limit
+    return e * 2.0 ** (min(exp, 506 - math.frexp(top)[1]) if top else exp)
+
+
+def family_ids(n, seed):
+    """Ids whose text order differs from index order; 3 and "3" share a text when n >= 3."""
+    names = [f"i{k}" for k in np.random.default_rng(seed).permutation(n)]
+    return [3, "3", 2.5, *names[3:]] if n >= 3 else names
+
+
+class TestCertifiedRanker:
+    @settings(max_examples=120, deadline=None, database=None)
+    @given(family=st.sampled_from(FAMILIES), n=st.integers(2, 60), d=st.integers(1, 140),
+           exp=st.integers(-545, 500), seed=st.integers(0, 2**32 - 1))
+    @example(family="near-ties", n=40, d=3, exp=-530, seed=1)  # squares in the subnormal range
+    @example(family="scaled", n=60, d=140, exp=-520, seed=2)  # norms from 1e-150 up
+    @example(family="scaled", n=30, d=7, exp=460, seed=3)  # norms up to 1e150
+    @example(family="duplicates", n=2, d=1, exp=0, seed=4)
+    def test_same_orders_reports_and_stdout_as_exact_path(self, family, n, d, exp, seed):
+        e = family_embeddings(family, n, d, exp, seed)
+        ids = family_ids(n, seed)
+        labels = list(np.random.default_rng(seed + 1).integers(0, max(1, n // 3), size=n))
+        labels[1] = labels[0]
+        queries = np.arange(n)
+        exact = exact_rankings(e, ids, queries)
+        for got, (_, want) in zip(ranked_galleries(e, ids, queries), exact, strict=True):
+            assert np.array_equal(got, want)
+        got, want = evaluate(ids, e, labels), exact_report(ids, e, labels)
+        assert repr(got.to_dict()) == repr(want.to_dict())
+        assert repr(got.per_query) == repr(want.per_query)
+        # the query "3" would name both 3 and "3", so retrieve asks for the others
+        asked = [q for q in queries if [str(i) for i in ids].count(str(ids[q])) == 1]
+        printed = "".join(f"{ids[q]}\t{rank}\t{ids[i]}\t{exact[q][0][i]:.6f}\n" for q in asked
+                          for rank, i in enumerate(exact[q][1][:5], start=1))
+        assert retrieve_stdout(ids, e, asked, 5) == printed
+
+    def count_exact_calls(self, monkeypatch):
+        calls = []
+        real = evaluation.pairwise_distances
+        monkeypatch.setattr(evaluation, "pairwise_distances", lambda *a: calls.append(a) or real(*a))
+        return calls
+
+    def test_duplicates_fall_back_to_exact_distances(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        e = np.repeat(rng.normal(size=(40, 8)), 3, axis=0)
+        ids, labels = [f"x{i}" for i in range(120)], [i % 4 for i in range(120)]
+        want = exact_report(ids, e, labels)
+        calls = self.count_exact_calls(monkeypatch)
+        assert repr(evaluate(ids, e, labels).to_dict()) == repr(want.to_dict())
+        assert len(calls) == 120  # every query has two copies of itself, and of each other point
+
+    def test_unit_vectors_need_no_fallback(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        e = rng.normal(size=(300, 32))
+        e /= np.linalg.norm(e, axis=1, keepdims=True)
+        ids, labels = [f"u{i}" for i in range(300)], [i % 7 for i in range(300)]
+        want = exact_report(ids, e, labels)
+        calls = self.count_exact_calls(monkeypatch)
+        assert repr(evaluate(ids, e, labels).to_dict()) == repr(want.to_dict())
+        assert calls == []
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(n=st.integers(2, 400), d=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    def test_gathered_distances_are_pairwise_distances_bits(self, n, d, seed):
+        rng = np.random.default_rng(seed)
+        e = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+        q = int(rng.integers(n))
+        cols = rng.permutation(n)[: rng.integers(1, n + 1)]
+        got = gathered_distances(e, q, cols)
+        assert np.array_equal(got.view(np.int64), pairwise_distances(e, [q])[0, cols].view(np.int64))
+
+    def test_squared_norm_limit(self):
+        top = 2.0 ** 510  # [top, top] has squared norm 2**1021 exactly
+        ok = np.array([[top, top], [-top, -top], [0.0, 1.0]])
+        rep = evaluate(["a", "b", "c"], ok, ["A", "B", "A"])
+        assert rep.queries == 2 and np.isfinite(rep.micro_map)
+        over = ok.copy()
+        over[1, 0] = -np.nextafter(top, np.inf)  # the next larger coordinate
+        with pytest.raises(ValidationError, match="item b is too large"):
+            evaluate(["a", "b", "c"], over, ["A", "B", "A"])
