@@ -58,6 +58,8 @@ def cmd_train(args):
 
 def cmd_embed(args):
     dataset = read_dataset(args.dataset)
+    if not dataset.items:  # an empty embeddings file is not one retrieve can read
+        raise ValidationError(f"{args.dataset} has no items to embed")
     net = load_checkpoint(args.checkpoint)
     ids, means, variances = embed_dataset(net, dataset.items, args.notion, args.mc, args.seed,
                                           _split_csv(args.modalities))

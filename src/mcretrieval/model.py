@@ -35,9 +35,8 @@ class ModalitySpec:
     """Shape and encoder layout for one input modality.
 
     Sequence payloads are [T, input_dim] frame stacks; samples frames are
-    drawn per pass and fused by the recurrence. cells > 1 splits each
-    frame into equal cells encoded by one shared dense map (a 1x1
-    convolution over the cell grid) whose outputs are re-flattened.
+    drawn per pass and fused by the recurrence. cells is always 1, a
+    frame encoded whole; checkpoints record it.
     """
 
     name: str
@@ -50,13 +49,10 @@ class ModalitySpec:
     def __post_init__(self):
         if self.kind not in (VECTOR, SEQUENCE):
             raise ValidationError(f"modality kind must be vector or sequence, got {self.kind!r}")
-        if self.input_dim < 1 or self.samples < 1 or self.cells < 1:
-            raise ValidationError(f"bad dims for modality {self.name}")
+        if self.input_dim < 1 or self.samples < 1 or self.cells != 1:
+            raise ValidationError(f"modality {self.name} needs input_dim >= 1, samples >= 1 and cells = 1")
         if self.kind == SEQUENCE and self.hidden_dim is None:
             raise ValidationError(f"sequence modality {self.name} needs hidden_dim")
-        if self.cells > 1:
-            if self.input_dim % self.cells or (self.hidden_dim or 0) % self.cells:
-                raise ValidationError(f"cells must divide input and hidden dims for {self.name}")
 
 
 def sample_frame_indices(lengths, n: int, rng=None) -> np.ndarray:
@@ -67,7 +63,7 @@ def sample_frame_indices(lengths, n: int, rng=None) -> np.ndarray:
     without one they are evenly spaced and rng-free, so deterministic
     passes stay bit-reproducible.
     """
-    if min(lengths) < 1:
+    if np.min(lengths) < 1:
         raise ValidationError("empty sequence payload")
     if rng is not None:
         return rng.frame_picks(lengths, n)
@@ -132,9 +128,8 @@ class ConditionalNet:
                     self._add(f"{pre}.w0", (m.input_dim, d), rng, m.input_dim)
                     self._add(f"{pre}.b0", (d,), rng)
             else:
-                cin, cout = m.input_dim // m.cells, m.hidden_dim // m.cells
-                self._add(f"{pre}.frame.w", (cin, cout), rng, cin)
-                self._add(f"{pre}.frame.b", (cout,), rng)
+                self._add(f"{pre}.frame.w", (m.input_dim, m.hidden_dim), rng, m.input_dim)
+                self._add(f"{pre}.frame.b", (m.hidden_dim,), rng)
                 self._add(f"{pre}.rnn.wx", (m.hidden_dim, d), rng, m.hidden_dim)
                 self._add(f"{pre}.rnn.wh", (d, d), rng, d)
                 self._add(f"{pre}.rnn.b", (d,), rng)
@@ -156,12 +151,6 @@ class ConditionalNet:
 
     # --- forward pieces ---
 
-    def _spec_by_name(self, name):
-        for m in self.modalities:
-            if m.name == name:
-                return m
-        raise ValidationError(f"unknown modality {name!r}; have {[m.name for m in self.modalities]}")
-
     def _encode_vector(self, m, x, rng):
         pre = f"enc.{m.name}"
         h = dropout_apply(x, self.dropout_rate, rng)
@@ -173,16 +162,9 @@ class ConditionalNet:
         return h
 
     def _encode_frame(self, m, x, rng):
-        # shared dense over cells; cells == 1 is a plain frame encoder
         pre = f"enc.{m.name}"
-        lead = x.data.shape[:-1]
         h = dropout_apply(x, self.dropout_rate, rng)
-        if m.cells > 1:
-            h = autodiff.reshape(h, (-1, m.input_dim // m.cells))
-        h = dense_forward(h, self.params[f"{pre}.frame.w"], self.params[f"{pre}.frame.b"])
-        if m.cells > 1:
-            h = autodiff.reshape(h, lead + (m.hidden_dim,))
-        return autodiff.tanh(h)
+        return autodiff.tanh(dense_forward(h, self.params[f"{pre}.frame.w"], self.params[f"{pre}.frame.b"]))
 
     def _encode_sequence(self, m, frames, rng):
         pre = f"enc.{m.name}"
@@ -190,12 +172,37 @@ class ConditionalNet:
         return rnn_steps(steps, self.params[f"{pre}.rnn.wx"], self.params[f"{pre}.rnn.wh"],
                          self.params[f"{pre}.rnn.b"], self.dropout_rate, rng)
 
-    def check_payloads(self, payloads: dict):
-        """An item needs at least one payload, each of a modality this net encodes."""
-        if not payloads:
-            raise ValidationError("item has no modality payloads")
-        for name in payloads:
-            self._spec_by_name(name)
+    def _payload_rows(self, m, payload) -> np.ndarray:
+        """One payload checked against its modality, as [T, input_dim] rows; a vector is one row."""
+        x = np.asarray(payload, dtype=np.float64)
+        shape = (m.input_dim,) if m.kind == VECTOR else ("T", m.input_dim)
+        if x.ndim != len(shape) or x.shape[-1] != m.input_dim:
+            raise ShapeError(f"modality {m.name} expects [{', '.join(map(str, shape))}] payloads")
+        if not len(x):
+            raise ValidationError("empty sequence payload")
+        return x.reshape(-1, m.input_dim)
+
+    def pack(self, payload_list) -> dict:
+        """Check items' payloads against the net and stack each modality once, for forward_batch.
+
+        An item needs at least one payload, each of a modality this net
+        encodes. Returns {modality: (rows [sum T, input_dim], starts [items],
+        lengths [items])}; an item without the modality has length 0.
+        """
+        names = [m.name for m in self.modalities]
+        for payloads in payload_list:
+            if not payloads:
+                raise ValidationError("item has no modality payloads")
+            unknown = [name for name in payloads if name not in names]
+            if unknown:
+                raise ValidationError(f"unknown modality {unknown[0]!r}; have {names}")
+        packed = {}
+        for m in self.modalities:
+            none = np.empty((0, m.input_dim))
+            arrays = [self._payload_rows(m, p[m.name]) if m.name in p else none for p in payload_list]
+            lengths = np.array([len(x) for x in arrays], dtype=np.intp)
+            packed[m.name] = (np.concatenate([none, *arrays]), np.cumsum(lengths) - lengths, lengths)
+        return packed
 
     def fuse(self, embeddings) -> Tensor:
         """Mean over the available modality embeddings (absent ones excluded)."""
@@ -215,44 +222,34 @@ class ConditionalNet:
 
     def forward(self, payloads: dict, notion: str, rng=None) -> Tensor:
         """Embed one item under one notion: a batch of one, flattened to [embed_dim]."""
-        self.check_payloads(payloads)
-        return autodiff.reshape(self.forward_batch([payloads], notion, rng), (self.embed_dim,))
+        return autodiff.reshape(self.forward_batch(self.pack([payloads]), [0], notion, rng), (self.embed_dim,))
 
-    def forward_batch(self, payload_list, notion: str, rng=None) -> Tensor:
-        """Embed a batch of items sharing the same available modalities.
+    def forward_batch(self, packed: dict, rows, notion: str, rng=None) -> Tensor:
+        """Embed the pack's items at rows, gathered by index; rows may repeat, and must share modalities.
 
-        Stacks payloads per time step. Dropout, at the net's rate, runs
-        exactly when rng, the mask source, is given: a single RngStream
-        draws every mask and frame pick for the whole batch, row after
-        row, while RowStreams gives row r its masks and frame picks from
-        stream r, exactly as a batch of one on that stream would draw
-        them. At rate 0 the source is dropped, so nothing is drawn and
-        the forward is the deterministic one, bit for bit.
+        Dropout, at the net's rate, runs exactly when rng, the mask source,
+        is given: a single RngStream draws every mask and frame pick for
+        the whole batch, row after row, while RowStreams gives row r its
+        masks and frame picks from stream r, exactly as a batch of one on
+        that stream would draw them. At rate 0 the source is dropped, so
+        nothing is drawn and the forward is the deterministic one, bit for bit.
         """
         rng = rng if self.dropout_rate else None
-        if not payload_list:
+        rows = np.asarray(rows, dtype=np.intp)
+        if not len(rows):
             raise ValidationError("empty batch")
-        names = set(payload_list[0])
-        if any(set(p) != names for p in payload_list):
+        has = np.array([packed[m.name][2][rows] > 0 for m in self.modalities])  # [modalities, rows]
+        if (has != has[:, :1]).any():
             raise ValidationError("every row of a batch must carry the same modalities")
-        present = [m for m in self.modalities if m.name in names]  # if empty, fuse rejects the batch
+        present = [m for m, on in zip(self.modalities, has[:, 0]) if on]
         embs = []
         for m in present:
-            name = m.name
+            data, starts, lengths = packed[m.name]
             if m.kind == VECTOR:
-                x = np.array([np.asarray(p[name], dtype=np.float64) for p in payload_list])
-                if x.shape[1:] != (m.input_dim,):
-                    raise ShapeError(f"modality {name} expects [{m.input_dim}] payloads")
-                embs.append(self._encode_vector(m, Tensor(x), rng))
+                embs.append(self._encode_vector(m, Tensor(data[starts[rows]]), rng))
             else:
-                seqs = [np.asarray(p[name], dtype=np.float64) for p in payload_list]
-                if any(seq.ndim != 2 or seq.shape[1] != m.input_dim for seq in seqs):
-                    raise ShapeError(f"modality {name} expects [T, {m.input_dim}] payloads")
-                lengths = [len(seq) for seq in seqs]
-                picks = sample_frame_indices(lengths, m.samples, rng)
-                # row r's picks index its own sequence inside the concatenation
-                starts = np.cumsum([0] + lengths[:-1])
-                stacked = np.concatenate(seqs)[starts[:, None] + picks]  # [B, samples, input_dim]
+                picks = sample_frame_indices(lengths[rows], m.samples, rng)
+                stacked = data[starts[rows][:, None] + picks]  # [rows, samples, input_dim]
                 frames = [Tensor(stacked[:, t, :]) for t in range(m.samples)]
                 embs.append(self._encode_sequence(m, frames, rng))
         return self.apply_mask(self.fuse(embs), notion)

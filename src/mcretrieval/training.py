@@ -93,6 +93,7 @@ def train(dataset: DatasetFile, cfg: RunConfig, out_dir=None, notions=None) -> T
         if unknown:
             raise ValidationError(f"unknown notions: {', '.join(unknown)}")
     net = build_net(dataset, cfg, notions=notions)
+    packed = net.pack([it.payloads for it in dataset.items])
     opt = Adam(net.parameters(), lr=cfg.lr)
     labels = {n: dataset.labels_for(n) for n in net.notions}
     mine_rng_root = RngStream(cfg.seed, 1)
@@ -114,8 +115,7 @@ def train(dataset: DatasetFile, cfg: RunConfig, out_dir=None, notions=None) -> T
                 notion = net.notions[step % len(net.notions)]
                 batch = pk_sample(labels[notion], cfg.p_classes, cfg.k_per_class,
                                   pk_rng_root.substream(step))
-                payloads = [dataset.items[i].payloads for i in batch.indices]
-                emb = net.forward_batch(payloads, notion, drop_rng_root.substream(step))
+                emb = net.forward_batch(packed, batch.indices, notion, drop_rng_root.substream(step))
                 local = batch_hard_triplets(emb.data, [labels[notion][i] for i in batch.indices])
                 losses.append(_descend(net, opt, emb, local, cfg, lr))
                 triplet_count += len(local)
@@ -128,8 +128,7 @@ def train(dataset: DatasetFile, cfg: RunConfig, out_dir=None, notions=None) -> T
 
                 def embed_fn(idxs):
                     with autodiff.no_grad():
-                        pls = [dataset.items[i].payloads for i in idxs]
-                        return net.forward_batch(pls, notion).data
+                        return net.forward_batch(packed, idxs, notion).data
 
                 dist = pairwise_distances(embed_in_chunks(items, embed_fn, cfg.batch_size))
                 batch = semi_hard_draw(dist, [labels[notion][i] for i in items],
@@ -139,8 +138,7 @@ def train(dataset: DatasetFile, cfg: RunConfig, out_dir=None, notions=None) -> T
                     continue
                 triplets = np.asarray(items, dtype=np.intp)[batch]
                 uniq, local = np.unique(triplets, return_inverse=True)
-                payloads = [dataset.items[g].payloads for g in uniq]
-                emb = net.forward_batch(payloads, notion, drop_rng_root.substream(step))
+                emb = net.forward_batch(packed, uniq, notion, drop_rng_root.substream(step))
                 losses.append(_descend(net, opt, emb, local.reshape(-1, 3), cfg, lr))
                 triplet_count += len(triplets)
                 step += 1

@@ -105,11 +105,11 @@ def embed_prefixes(net, items, notion: str, mc_values, seed: int, modalities=Non
             payloads = {k: v for k, v in payloads.items() if k in modalities}
             if not payloads:
                 raise ValidationError(f"item {item_id} has none of the requested modalities")
-        net.check_payloads(payloads)
         ids.append(item_id)
         payload_list.append(payloads)
         # a forward_batch takes rows of one modality set
         groups.setdefault(frozenset(payloads), []).append(i)
+    packed = net.pack(payload_list)
 
     # one result per distinct value; a repeated value shares its arrays
     results = {mc: (np.empty((len(ids), net.embed_dim)), np.empty((len(ids), net.embed_dim)))
@@ -124,13 +124,13 @@ def embed_prefixes(net, items, notion: str, mc_values, seed: int, modalities=Non
             for members in groups.values():
                 for start in range(0, len(members), step):
                     chunk = members[start:start + step]
-                    batch = [payload_list[i] for i in chunk for _ in range(passes)]
                     rng = None
                     if run:
                         # the key of RngStream(b, b + j), which takes both modulo 2**64
                         blocks = [seed + i * ITEM_STREAM_STRIDE for i in chunk]
                         rng = RowStreams([(b % 2**64, (b + j) % 2**64) for b in blocks for j in range(run)])
-                    out = net.forward_batch(batch, notion, rng).data.reshape(len(chunk), passes, -1)
+                    out = net.forward_batch(packed, np.repeat(chunk, passes), notion, rng).data
+                    out = out.reshape(len(chunk), passes, -1)
                     for m in prefixes:
                         means, variances = results[m]
                         agg = aggregate_passes(out[:, :max(m, 1)])

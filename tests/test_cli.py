@@ -277,6 +277,16 @@ class TestEmbedRetrieve:
             main(["embed", "--help"])
         assert e.value.code == 0
 
+    def test_embed_of_no_items_exits_2(self, workspace, tmp_path, capsys):
+        # an empty embeddings file is not one retrieve can read, so embed writes none
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text(workspace["data"].read_text().splitlines()[0] + "\n")
+        out = tmp_path / "e.jsonl"
+        assert main(["embed", "--dataset", str(empty), "--checkpoint", str(workspace["ckpt"]),
+                     "--notion", "goal", "--mc", "0", "--out", str(out)]) == 2
+        one_error_line(capsys, "error[validation]:", "no items")
+        assert not out.exists()
+
     def test_retrieve_prints_ranked_gallery(self, workspace, capsys):
         emb = workspace["root"] / "emb_r.jsonl"
         assert main(["embed", "--dataset", str(workspace["data"]),
@@ -526,6 +536,21 @@ class TestEvalSweepUncertaintyAblate:
         err = capsys.readouterr().err
         assert err.startswith("error[parse]:" if code == 3 else "error[validation]:")
         assert err.count("\n") == 1
+
+    def test_checkpoint_with_a_cell_grid_exits_2(self, workspace, tmp_path, capsys):
+        # a sequence encoder laid out for two cells per frame, with parameters of that layout
+        doc = json.loads(workspace["ckpt"].read_text())
+        seq = next(m for m in doc["modalities"] if m["kind"] == "sequence")
+        seq["cells"] = 2
+        pre = f"enc.{seq['name']}.frame"
+        for name, shape in ((f"{pre}.w", [seq["input_dim"] // 2, seq["hidden_dim"] // 2]),
+                            (f"{pre}.b", [seq["hidden_dim"] // 2])):
+            doc["params"][name] = {"shape": shape, "data": [0.1] * int(np.prod(shape))}
+        ckpt = tmp_path / "cells.json"
+        ckpt.write_text(json.dumps(doc))
+        assert main(["eval", "--dataset", str(workspace["data"]), "--checkpoint", str(ckpt),
+                     "--notion", "goal", "--mc", "0"]) == 2
+        one_error_line(capsys, "error[validation]:", "cells")
 
     @pytest.mark.parametrize("case", ["ragged_payload", "labels_list", "id_list", "nan_payload"])
     def test_malformed_dataset_record_exits_with_one_line(self, workspace, tmp_path, capsys, case):

@@ -14,6 +14,7 @@ from mcretrieval.model import (
     sample_frame_indices,
     save_checkpoint,
 )
+from mcretrieval.rng import RowStreams
 
 
 def small_net(normalize=True, p=0.1, seed=3):
@@ -51,16 +52,10 @@ class TestShapes:
         assert net.params["enc.can.frame.w"].data.shape == (8, 128)
         assert net.params["enc.can.rnn.wh"].data.shape == (128, 128)
 
-    def test_grid_cells_shared_dense(self):
-        # per-cell map shared across a 4-cell frame, outputs re-flattened
-        m = ModalitySpec("cam", "sequence", 8, hidden_dim=12, samples=1, cells=4)
-        net = ConditionalNet([m], ["goal"], embed_dim=6, dropout_rate=0.0, seed=1)
-        frame = np.random.default_rng(2).normal(size=8)
-        got = net._encode_frame(m, autodiff.Tensor(frame), None).data
-        w = net.params["enc.cam.frame.w"].data
-        b = net.params["enc.cam.frame.b"].data
-        want = np.tanh((frame.reshape(4, 2) @ w + b).reshape(12))
-        np.testing.assert_allclose(got, want, atol=1e-12)
+    def test_cell_grid_is_rejected(self):
+        # a frame is encoded whole; a spec that splits it into cells names the field
+        with pytest.raises(ValidationError, match="cells"):
+            ModalitySpec("cam", "sequence", 8, hidden_dim=12, samples=1, cells=4)
 
     def test_vector_single_layer_is_affine(self):
         m = ModalitySpec("v", "vector", 3)
@@ -86,6 +81,15 @@ class TestShapes:
             net.forward(payloads(rng), "nope")
         with pytest.raises(ValidationError):
             net.forward({"bogus": rng.normal(size=5)}, "goal")
+        # pack is where payloads are checked: each bad item fails there, among good ones
+        good = payloads(rng)
+        for bad, error in [({"vec": rng.normal(size=6)}, ShapeError),
+                           ({"seq": rng.normal(size=4)}, ShapeError),
+                           ({"seq": np.zeros((0, 4))}, ValidationError),
+                           ({"bogus": rng.normal(size=5)}, ValidationError),
+                           ({}, ValidationError)]:
+            with pytest.raises(error):
+                net.pack([good, bad])
 
 
 class TestFrameSampling:
@@ -229,9 +233,24 @@ class TestBatchPath:
         net = small_net()
         rng = np.random.default_rng(13)
         batch = [payloads(rng, t=int(rng.integers(2, 6))) for _ in range(7)]
-        got = net.forward_batch(batch, "goal").data
+        got = net.forward_batch(net.pack(batch), np.arange(len(batch)), "goal").data
         want = np.stack([net.forward(p, "goal").data for p in batch])
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+    def test_rows_gather_what_packing_them_would(self):
+        # shuffled rows with repeats over a mixed-length set give the bits of a pack of those rows
+        net = small_net(p=0.3)
+        rng = np.random.default_rng(19)
+        items = [payloads(rng, t=int(rng.integers(1, 7))) for _ in range(6)]
+        rows = rng.permutation(np.repeat(np.arange(6), [1, 3, 0, 2, 1, 2]))
+        packed, alone = net.pack(items), net.pack([items[r] for r in rows])
+        for keys in (None, [(5, j) for j in range(len(rows))]):
+            got = net.forward_batch(packed, rows, "goal", keys and RowStreams(keys)).data
+            want = net.forward_batch(alone, np.arange(len(rows)), "goal", keys and RowStreams(keys)).data
+            assert np.array_equal(got, want)
+        mixed = net.pack([*items, {"vec": items[0]["vec"]}])
+        with pytest.raises(ValidationError, match="same modalities"):
+            net.forward_batch(mixed, [0, 6, 1], "goal")
 
     def test_batch_requires_common_modality(self):
         net = small_net()
@@ -240,17 +259,17 @@ class TestBatchPath:
         # disjoint or overlapping, rows of two modality sets are not one batch
         for batch in ([{"vec": vec}, {"seq": seq}], [{"vec": vec, "seq": seq}, {"vec": vec}]):
             with pytest.raises(ValidationError, match="same modalities"):
-                net.forward_batch(batch, "goal")
+                net.forward_batch(net.pack(batch), [0, 1], "goal")
 
 
 class TestGradients:
     def test_end_to_end_gradcheck(self):
         net = small_net(p=0.0)
         rng = np.random.default_rng(15)
-        pls = [payloads(rng) for _ in range(3)]
+        packed = net.pack([payloads(rng) for _ in range(3)])
 
         def f():
-            emb = net.forward_batch(pls, "goal")
+            emb = net.forward_batch(packed, [0, 1, 2], "goal")
             return autodiff.tsum(triplet_batch_term(emb, [[0, 1, 2]], 0.5))
 
         report = grad_check(f, net.parameters())
@@ -259,11 +278,11 @@ class TestGradients:
     def test_gradcheck_with_frozen_stochastic_mask(self):
         net = small_net(p=0.2)
         rng = np.random.default_rng(16)
-        pls = [payloads(rng) for _ in range(3)]
+        packed = net.pack([payloads(rng) for _ in range(3)])
 
         def f():
             # same stream every call, so the dropout mask is a constant
-            emb = net.forward_batch(pls, "goal", RngStream(21, 0))
+            emb = net.forward_batch(packed, [0, 1, 2], "goal", RngStream(21, 0))
             return autodiff.tsum(triplet_batch_term(emb, [[0, 1, 2]], 0.5))
 
         report = grad_check(f, net.parameters())

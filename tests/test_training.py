@@ -177,7 +177,7 @@ class TestDescend:
         gc.collect()
         gc.disable()
         try:
-            emb = self.net.forward_batch(payloads, "goal", RngStream(1, 2))
+            emb = self.net.forward_batch(self.net.pack(payloads), np.arange(6), "goal", RngStream(1, 2))
             _descend(self.net, self.opt, emb, np.array([[0, 1, 2], [3, 4, 5]]), self.cfg, self.cfg.lr)
             del emb
             assert gc.collect() == 0

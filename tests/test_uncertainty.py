@@ -181,7 +181,7 @@ def per_pass_oracle(net, items, notion, mc, seed):
 BATCH_NETS = {
     "vector": ([ModalitySpec("v", "vector", 6)], True),
     "vector_hidden": ([ModalitySpec("v", "vector", 6, hidden_dim=5)], True),
-    "sequence_cells": ([ModalitySpec("s", "sequence", 4, hidden_dim=6, samples=3, cells=2)], True),
+    "sequence": ([ModalitySpec("s", "sequence", 4, hidden_dim=6, samples=3)], True),
     "unnormalized": ([ModalitySpec("v", "vector", 6, hidden_dim=5),
                       ModalitySpec("s", "sequence", 4, hidden_dim=6, samples=2)], False),
 }
@@ -243,11 +243,11 @@ class TestBatchedPasses:
         assert np.array_equal(sto, det)
         assert not sto_var.any()
         # with more passes every row is still the deterministic forward
-        batch = [p for _, p in items for _ in range(3)]
-        streams = RowStreams([(6, 6 + j) for j in range(len(batch))])
-        rows = net.forward_batch(batch, "goal", streams).data
-        base = net.forward_batch(batch, "goal").data
-        assert np.array_equal(rows, base)
+        packed, rows = net.pack([p for _, p in items]), np.repeat(np.arange(len(items)), 3)
+        streams = RowStreams([(6, 6 + j) for j in range(len(rows))])
+        stochastic = net.forward_batch(packed, rows, "goal", streams).data
+        base = net.forward_batch(packed, rows, "goal").data
+        assert np.array_equal(stochastic, base)
 
     def test_requested_modalities_must_be_known(self):
         net = small_net()
@@ -308,9 +308,9 @@ class TestPrefixes:
         sizes = []
         forward_batch = net.forward_batch
 
-        def recording(batch, *args):
-            sizes.append(len(batch))
-            return forward_batch(batch, *args)
+        def recording(packed, rows, *args):
+            sizes.append(len(rows))
+            return forward_batch(packed, rows, *args)
 
         monkeypatch.setattr(net, "forward_batch", recording)
         assert_prefixes_match_single_runs(net, items, mcs, seed=4, want=want)
@@ -332,8 +332,8 @@ class TestPrefixes:
         _, alone, _ = embed_dataset(net, items, "goal", 1, 8)
         np.testing.assert_allclose(prefix, alone, rtol=0, atol=1e-15)
 
-    def test_sequence_with_two_cells(self):
-        mods = [ModalitySpec("s", "sequence", 4, hidden_dim=6, samples=3, cells=2)]
+    def test_sequence_only(self):
+        mods = [ModalitySpec("s", "sequence", 4, hidden_dim=6, samples=3)]
         net = ConditionalNet(mods, ["goal"], embed_dim=7, dropout_rate=0.3, seed=4)
         rng = np.random.default_rng(23)
         items = [(f"it{i}", batch_item(rng, mods, t=2 + i)) for i in range(4)]
