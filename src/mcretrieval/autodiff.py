@@ -75,24 +75,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
     def __sub__(self, other):
         return add(self, mul(_wrap(other), -1.0))
-
-    def __rsub__(self, other):
-        return add(_wrap(other), mul(self, -1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -119,8 +103,9 @@ def _accum(t: Tensor, g: np.ndarray):
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = g + 0.0  # a fresh array, and -0.0 stored as +0.0 as a zero start would
+    else:
+        t.grad += g
 
 
 def _node(data, parents, backward) -> Tensor:
@@ -170,24 +155,38 @@ def mul(a, b) -> Tensor:
     return _node(data, (a, b), backward)
 
 
-def matmul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    if b.data.ndim != 2:
-        raise ShapeError(f"matmul expects a 2-d right operand, got {b.data.shape}")
-    if a.data.ndim not in (1, 2):
-        raise ShapeError(f"matmul expects a 1-d or 2-d left operand, got {a.data.shape}")
-    if a.data.shape[-1] != b.data.shape[0]:
-        raise ShapeError(f"matmul inner dims differ: {a.data.shape} @ {b.data.shape}")
-    data = a.data @ b.data
+def affine(pairs, bias) -> Tensor:
+    """x_1 @ W_1 + ... + x_k @ W_k + b, summed left to right, as one node.
+
+    Each x is one vector or a batch of rows; each W is [rows, width] with
+    b's width. Parents are (x_1, W_1, ..., x_k, W_k, b), so backward visits
+    b first and then the pairs from last to first. That visit order fixes
+    the order in which a shared weight's gradients sum, and so the
+    trained bits: keep it.
+    """
+    pairs = [(_wrap(x), _wrap(w)) for x, w in pairs]
+    bias = _wrap(bias)
+    for x, w in pairs:
+        if w.data.ndim != 2 or x.data.ndim not in (1, 2) or x.data.shape[-1] != w.data.shape[0] \
+                or bias.data.shape != w.data.shape[1:]:
+            raise ShapeError(f"affine expects x [.., n] @ W [n, m] + b [m], got {x.data.shape} @ "
+                             f"{w.data.shape} + {bias.data.shape}")
+    data = pairs[0][0].data @ pairs[0][1].data
+    for x, w in pairs[1:]:
+        data = data + x.data @ w.data
+    data = data + bias.data
 
     def backward(out):
         g = out.grad
-        if a.requires_grad:
-            _accum(a, g @ b.data.T)
-        if b.requires_grad:
-            _accum(b, np.outer(a.data, g) if a.data.ndim == 1 else a.data.T @ g)
+        if bias.requires_grad:
+            _accum(bias, _unbroadcast(g, bias.data.shape))
+        for x, w in pairs:
+            if x.requires_grad:
+                _accum(x, g @ w.data.T)
+            if w.requires_grad:
+                _accum(w, np.outer(x.data, g) if x.data.ndim == 1 else x.data.T @ g)
 
-    return _node(data, (a, b), backward)
+    return _node(data, [t for pair in pairs for t in pair] + [bias], backward)
 
 
 def tanh(x) -> Tensor:
@@ -314,14 +313,7 @@ def dropout_apply(x, rate: float, rng=None) -> Tensor:
 
 def dense_forward(x, weight, bias) -> Tensor:
     """Affine layer x @ W + b for a single vector or a batch of rows."""
-    x, weight, bias = _wrap(x), _wrap(weight), _wrap(bias)
-    if weight.data.ndim != 2:
-        raise ShapeError(f"dense weight must be 2-d, got {weight.data.shape}")
-    if bias.data.shape != (weight.data.shape[1],):
-        raise ShapeError(f"dense bias shape {bias.data.shape} does not match weight {weight.data.shape}")
-    if x.data.shape[-1] != weight.data.shape[0]:
-        raise ShapeError(f"dense input dim {x.data.shape[-1]} does not match weight rows {weight.data.shape[0]}")
-    return add(matmul(x, weight), bias)
+    return affine([(x, weight)], bias)
 
 
 def rnn_steps(xs, w_in, w_rec, bias, rate: float = 0.0, rng=None) -> Tensor:
@@ -332,15 +324,12 @@ def rnn_steps(xs, w_in, w_rec, bias, rate: float = 0.0, rng=None) -> Tensor:
     if not xs:
         raise ShapeError("rnn needs at least one step")
     hidden = w_rec.data.shape[0]
-    if w_rec.data.shape != (hidden, hidden):
+    if w_rec.data.shape != (hidden, hidden):  # affine checks the input weight and bias against it
         raise ShapeError(f"recurrent weight must be square, got {w_rec.data.shape}")
-    if w_in.data.shape[1] != hidden or bias.data.shape != (hidden,):
-        raise ShapeError("rnn parameter shapes are inconsistent")
     first = _wrap(xs[0])
     lead = first.data.shape[:-1]  # () for a single item, (batch,) for a batch
     h = Tensor(np.zeros(lead + (hidden,)))
     for x in xs:
-        x = dropout_apply(x, rate, rng)
-        h = tanh(add(add(matmul(x, w_in), matmul(h, w_rec)), bias))
+        h = tanh(affine([(dropout_apply(x, rate, rng), w_in), (h, w_rec)], bias))
     return h
 

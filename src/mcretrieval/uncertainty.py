@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff
-from .config import json_line, number_array
+from .config import check_json_types, json_line, number_array
 from .data import at_line, check_id, json_lines
 from .errors import ValidationError
 from .rng import RowStreams
@@ -213,14 +213,19 @@ def read_embeddings(path) -> EmbeddingFile:
                 if key not in rec:
                     raise ValidationError(f"embedding record missing {key!r}")
             check_id(rec["id"], seen)
+            check_json_types(EmbeddingFile, rec, "embedding record field")  # of its fields, rec has notion and mc
+            if rec["mc"] < 0:
+                raise ValidationError(f"embedding record mc must be >= 0, got {rec['mc']}")
             if not means:  # the first record sets the notion and mc every later one repeats
                 notion, mc = rec["notion"], rec["mc"]
             elif rec["notion"] != notion or rec["mc"] != mc:
                 raise ValidationError(f"record disagrees with file header: notion={rec['notion']!r} mc={rec['mc']}")
             mean, var = number_array(rec["mean"], "mean"), number_array(rec["variance"], "variance")
             want = means[0].shape if means else (mean.size,)
-            if mean.shape != want or var.shape != want:
-                raise ValidationError(f"mean {mean.shape} and variance {var.shape} must both be {want}")
+            if mean.shape != want or var.shape != want or not mean.size:
+                raise ValidationError(f"mean {mean.shape} and variance {var.shape} must both be {want}, of width >= 1")
+            if var.min() < 0.0:
+                raise ValidationError("variance entries must be >= 0")
         ids.append(rec["id"])
         means.append(mean)
         variances.append(var)

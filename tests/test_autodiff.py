@@ -56,6 +56,8 @@ class TestDense:
             dense_forward(Tensor(np.zeros(3)), Tensor(np.zeros((4, 2))), Tensor(np.zeros(2)))
         with pytest.raises(ShapeError):
             dense_forward(Tensor(np.zeros(4)), Tensor(np.zeros((4, 2))), Tensor(np.zeros(3)))
+        with pytest.raises(ShapeError):
+            dense_forward(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 2))), Tensor(np.zeros(2)))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(3)
@@ -154,13 +156,21 @@ class TestRnn:
             h = np.tanh(h @ w_rec.data + b.data)
         np.testing.assert_allclose(got, h, atol=1e-12)
 
+    def test_shape_mismatch_raises(self):
+        w_in, w_rec, b = Tensor(np.zeros((4, 3))), Tensor(np.zeros((3, 3))), Tensor(np.zeros(3))
+        with pytest.raises(ShapeError):
+            rnn_steps([np.zeros(4), np.zeros(5)], w_in, w_rec, b)
+        with pytest.raises(ShapeError):
+            rnn_steps([np.zeros(4)], w_in, Tensor(np.zeros((3, 4))), b)
+
     def test_gradients_match_finite_differences(self):
+        # the step inputs are parameters too, so both pairs' input gradients are checked
         rng = np.random.default_rng(16)
-        seq = rng.normal(size=(3, 4))
+        seq = [Parameter(x, f"x{t}") for t, x in enumerate(rng.normal(size=(3, 4)))]
         w_in = Parameter(rng.normal(size=(4, 3)) * 0.5, "w_in")
         w_rec = Parameter(rng.normal(size=(3, 3)) * 0.5, "w_rec")
         b = Parameter(rng.normal(size=3) * 0.5, "b")
-        report = grad_check(lambda: autodiff.tsum(rnn_steps(list(seq), w_in, w_rec, b)), [w_in, w_rec, b])
+        report = grad_check(lambda: autodiff.tsum(rnn_steps(seq, w_in, w_rec, b)), [w_in, w_rec, b, *seq])
         assert report.passed, report.per_param
 
 
@@ -207,6 +217,10 @@ class TestGraph:
         y = autodiff.tsum(autodiff.add(autodiff.mul(x, x), x))  # x^2 + x
         y.backward()
         np.testing.assert_allclose(x.grad, [5.0])
+        # a first gradient of -0.0 is stored as +0.0, as a zero start would leave it
+        p = Parameter(np.array([1.0]), "p")
+        autodiff.tsum(autodiff.mul(p, -0.0)).backward()
+        assert not np.signbit(p.grad).any()
 
     def test_backward_requires_scalar(self):
         from mcretrieval import ContractError

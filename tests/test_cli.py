@@ -471,6 +471,7 @@ class TestEvalSweepUncertaintyAblate:
         (["eval", "--mc", "-2"], "--mc", "must be >= 0"),
         (["embed", "--mc", "-1", "--out", "unused.json"], "--mc", "must be >= 0"),
         (["eval", "--mc", "abc"], "--mc", "invalid int value: 'abc'"),
+        (["sweep", "--mc-list", ","], "--mc-list", "at least one mc value"),
     ])
     def test_bad_mc_names_its_flag(self, workspace, capsys, argv, flag, says):
         code = main([argv[0], "--dataset", str(workspace["data"]),
@@ -552,7 +553,7 @@ class TestEvalSweepUncertaintyAblate:
                      "--notion", "goal", "--mc", "0"]) == 2
         one_error_line(capsys, "error[validation]:", "cells")
 
-    @pytest.mark.parametrize("case", ["ragged_payload", "labels_list", "id_list", "nan_payload"])
+    @pytest.mark.parametrize("case", ["ragged_payload", "labels_list", "id_list", "nan_payload", "not_an_object"])
     def test_malformed_dataset_record_exits_with_one_line(self, workspace, tmp_path, capsys, case):
         lines = workspace["data"].read_text().splitlines()
         rec = json.loads(lines[2])
@@ -564,6 +565,8 @@ class TestEvalSweepUncertaintyAblate:
         elif case == "nan_payload":
             vec = next(k for k, v in rec["payloads"].items() if not isinstance(v[0], list))
             rec["payloads"][vec][0] = float("nan")
+        elif case == "not_an_object":
+            rec = [1, 2]
         else:
             rec["id"] = [rec["id"]]
         lines[2] = json.dumps(rec)
@@ -616,6 +619,33 @@ class TestEvalSweepUncertaintyAblate:
         err = capsys.readouterr().err
         assert err.startswith("error[parse]:") and "emb.jsonl:2:" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("patch,line,says", [
+        ({"mean": [], "variance": []}, 1, "width >= 1"),
+        ({"mc": -3, "variance": [-1]}, 1, "mc must be >= 0"),
+        ({"notion": 7, "mc": "x"}, 1, "'notion' must be of type str"),
+        ({"mc": True}, 2, "'mc' must be of type int"),
+        ({"variance": [-0.5]}, 2, "variance entries must be >= 0"),
+    ], ids=["width_0", "mc_negative", "notion_not_str", "mc_bool", "variance_negative"])
+    def test_embeddings_bad_header_or_variance_exits_with_one_line(self, tmp_path, capsys, patch, line, says):
+        # patch every record from `line` on, so that later records agree with the bad one
+        emb = tmp_path / "emb.jsonl"
+        write_embeddings(emb, ["a", "b", "c"], np.array([[0.0], [1.0], [2.0]]), np.ones((3, 1)), "goal", 1)
+        recs = [json.loads(text) for text in emb.read_text().splitlines()]
+        emb.write_text("".join(json.dumps({**r, **patch} if i >= line - 1 else r) + "\n" for i, r in enumerate(recs)))
+        assert main(["retrieve", "--embeddings", str(emb), "--query-ids", "a"]) == 3
+        one_error_line(capsys, "error[parse]:", f"emb.jsonl:{line}:", says)
+
+    @pytest.mark.parametrize("name,flags,code,says", [
+        ("empty.jsonl", ["--query-ids", "a"], 3, "empty.jsonl:1: no records in the file"),
+        ("emb.jsonl", ["--query-ids", "a", "--k", "0"], 2, "--k"),
+        ("emb.jsonl", ["--query-ids", ","], 2, "--query-ids"),
+    ], ids=["empty_file", "k_0", "no_query_ids"])
+    def test_bad_retrieve_input_exits_with_one_line(self, tmp_path, capsys, name, flags, code, says):
+        write_embeddings(tmp_path / "emb.jsonl", ["a", "b"], np.eye(2), np.zeros((2, 2)), "goal", 0)
+        (tmp_path / "empty.jsonl").write_bytes(b"")
+        assert main(["retrieve", "--embeddings", str(tmp_path / name), *flags]) == code
+        one_error_line(capsys, "error[parse]:" if code == 3 else "error[validation]:", says)
 
     def test_missing_file_is_validation_exit(self, tmp_path, capsys):
         code = main(["eval", "--dataset", str(tmp_path / "nope.jsonl"),
