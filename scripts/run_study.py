@@ -72,7 +72,7 @@ def run_seed(args, seed, mc_grid, out_dir):
         # one prefix run feeds the sweep and the uncertainty at max(mc_grid)
         mcs = [0, *mc_grid]
         ids, embedded = embed_prefixes(joint, items, notion, mcs, args.eval_seed)
-        rows = mc_sweep(lambda _: (ids, embedded), mc_grid, labels)
+        rows = mc_sweep(ids, mcs, embedded, labels)
         write_report(out_dir / f"sweep_{notion}.json", rows)
         _, variances = embedded[mcs.index(max(mc_grid))]
         entry = {
@@ -96,6 +96,8 @@ def main(argv=None):
     args = parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]
     mc_grid = [int(m) for m in args.mc_grid.split(",")]
+    if min(mc_grid) < 1:  # row 0 is the baseline; every grid value is a count of passes
+        raise SystemExit(f"--mc-grid values must be >= 1, got {args.mc_grid}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -319,17 +319,16 @@ def dense_forward(x, weight, bias) -> Tensor:
 def rnn_steps(xs, w_in, w_rec, bias, rate: float = 0.0, rng=None) -> Tensor:
     """Elman recurrence h_t = tanh(W_x drop(x_t) + W_h h_{t-1} + b) over a list of step inputs.
 
-    h_0 is zero; dropout at rate, drawn from rng, sits on the input path only. Returns the final hidden state.
+    h_0 is zero, so step 1 is tanh(W_x drop(x_1) + b); dropout at rate, drawn from rng, sits on
+    the input path only. Returns the final hidden state.
     """
     if not xs:
         raise ShapeError("rnn needs at least one step")
-    hidden = w_rec.data.shape[0]
-    if w_rec.data.shape != (hidden, hidden):  # affine checks the input weight and bias against it
-        raise ShapeError(f"recurrent weight must be square, got {w_rec.data.shape}")
-    first = _wrap(xs[0])
-    lead = first.data.shape[:-1]  # () for a single item, (batch,) for a batch
-    h = Tensor(np.zeros(lead + (hidden,)))
-    for x in xs:
+    bias = _wrap(bias)
+    if w_rec.data.shape != 2 * bias.data.shape:  # affine checks W_x and b against each other
+        raise ShapeError(f"recurrent weight must be [b, b] for a bias [b], got {w_rec.data.shape}, {bias.data.shape}")
+    h = tanh(affine([(dropout_apply(xs[0], rate, rng), w_in)], bias))
+    for x in xs[1:]:
         h = tanh(affine([(dropout_apply(x, rate, rng), w_in), (h, w_rec)], bias))
     return h
 

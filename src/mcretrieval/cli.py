@@ -27,8 +27,14 @@ from .uncertainty import (
 )
 
 
-def _split_csv(text):
-    return [t for t in (s.strip() for s in text.split(",")) if t] if text else None
+def _split_csv(text, flag, what):
+    """A comma-list flag's entries, or None if the flag is absent; a list of no entries is an error naming the flag."""
+    if text is None:
+        return None
+    entries = [t for t in (s.strip() for s in text.split(",")) if t]
+    if not entries:
+        raise ValidationError(f"{flag} must name at least one {what}, got {text!r}")
+    return entries
 
 
 def cmd_synth(args):
@@ -50,9 +56,9 @@ def cmd_train(args):
         else RunConfig(**({"seed": args.seed} if args.seed is not None else {}))
     dataset = read_dataset(args.dataset)
     result = train(dataset, cfg, out_dir=args.out)
-    last = result.history[-1]
+    loss = result.history[-1]["mean_loss"]
     print(f"trained {cfg.epochs} epochs (miner={cfg.miner}, loss={cfg.loss}); "
-          f"final mean loss {last['mean_loss']:.6f}; checkpoint in {args.out}")
+          f"final mean loss {'none' if loss is None else f'{loss:.6f}'}; checkpoint in {args.out}")
     return 0
 
 
@@ -62,7 +68,7 @@ def cmd_embed(args):
         raise ValidationError(f"{args.dataset} has no items to embed")
     net = load_checkpoint(args.checkpoint)
     ids, means, variances = embed_dataset(net, dataset.items, args.notion, args.mc, args.seed,
-                                          _split_csv(args.modalities))
+                                          _split_csv(args.modalities, "--modalities", "modality"))
     write_embeddings(args.out, ids, means, variances, args.notion, args.mc)
     print(f"embedded {len(ids)} items (notion={args.notion}, mc={args.mc}) to {args.out}")
     return 0
@@ -70,9 +76,7 @@ def cmd_embed(args):
 
 def cmd_retrieve(args):
     emb = read_embeddings(args.embeddings)
-    queries = _split_csv(args.query_ids) or []
-    if not queries:
-        raise ValidationError("--query-ids must name at least one item")
+    queries = _split_csv(args.query_ids, "--query-ids", "item")
     # q names each id whose text it is, the key ranked_galleries breaks ties on (ids 3 and "3"
     # share one), and, if it is a JSON number, the id of that value however spelt (1e20, 1.50)
     by_text, by_id = {}, {item_id: i for i, item_id in enumerate(emb.ids)}
@@ -105,7 +109,7 @@ def cmd_retrieve(args):
 def cmd_eval(args):
     dataset = read_dataset(args.dataset)
     net = load_checkpoint(args.checkpoint)
-    modalities = _split_csv(args.modalities)
+    modalities = _split_csv(args.modalities, "--modalities", "modality")
     ids, means, _ = embed_dataset(net, dataset.items, args.notion, args.mc, args.seed, modalities)
     report = evaluate(ids, means, dataset.labels_for(args.notion), config={
         "notion": args.notion, "mc": args.mc, "seed": args.seed,
@@ -123,16 +127,14 @@ def cmd_sweep(args):
     dataset = read_dataset(args.dataset)
     net = load_checkpoint(args.checkpoint)
     try:
-        mc_values = [int(v) for v in _split_csv(args.mc_list) or []]
+        mc_values = [int(v) for v in _split_csv(args.mc_list, "--mc-list", "mc value")]
     except ValueError:
         raise ValidationError(f"--mc-list must be a comma list of integers, got {args.mc_list!r}") from None
-    if not mc_values:
-        raise ValidationError("--mc-list must name at least one mc value")
-
-    def embed_fn(mcs):
-        return embed_prefixes(net, dataset.items, args.notion, mcs, args.seed)
-
-    rows = mc_sweep(embed_fn, mc_values, dataset.labels_for(args.notion))
+    if min(mc_values) < 1:
+        raise ValidationError(f"--mc-list values must be >= 1, got {args.mc_list!r}")
+    mcs = [0, *mc_values]
+    ids, embedded = embed_prefixes(net, dataset.items, args.notion, mcs, args.seed)
+    rows = mc_sweep(ids, mcs, embedded, dataset.labels_for(args.notion))
     if args.out:
         write_report(args.out, rows)
     for r in rows:
@@ -169,14 +171,11 @@ def cmd_uncertainty(args):
 def cmd_ablate(args):
     dataset = read_dataset(args.dataset)
     net = load_checkpoint(args.checkpoint)
-    subsets = [None if raw == "all" else _split_csv(raw) or [] for raw in args.subsets]
-    if [] in subsets:
-        raise ValidationError(f"--subsets entries must be 'all' or name a modality, got {args.subsets}")
-
-    def embed_fn(subset):
-        return embed_dataset(net, dataset.items, args.notion, args.mc, args.seed, subset)
-
-    rows = modality_ablation(embed_fn, subsets, dataset.labels_for(args.notion))
+    subsets = [None if raw == "all" else _split_csv(raw, "--subsets entry", "modality or be 'all'")
+               for raw in args.subsets]
+    runs = [(subset, *embed_dataset(net, dataset.items, args.notion, args.mc, args.seed, subset)[:2])
+            for subset in subsets]
+    rows = modality_ablation(runs, dataset.labels_for(args.notion))
     if args.out:
         write_report(args.out, rows)
     for r in rows:

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ContractError, ParseError, ValidationError
 
 BATCH_HARD = "batch-hard"
 SEMI_HARD = "semi-hard"
@@ -113,7 +113,10 @@ def load_json(path):
 
 def json_line(doc) -> str:
     """doc as one line of compact JSON with sorted keys, the layout of every document the program writes."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    try:
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+    except ValueError:  # NaN and Infinity are not JSON, and no reader of ours takes them
+        raise ContractError("a non-finite number cannot be written as JSON") from None
 
 
 def check_json_types(cls, doc: dict, what: str) -> dict:

@@ -141,23 +141,16 @@ def evaluate(ids, embeddings, labels, config=None) -> RetrievalReport:
     )
 
 
-def mc_sweep(embed_fn, mc_values, labels):
-    """Evaluate one dataset at the mc = 0 baseline and at each of mc_values, in the order given.
+def mc_sweep(ids, mcs, embedded, labels):
+    """One row per mc of (ids, embedded) = uncertainty.embed_prefixes(..., mcs, ...), in the order given.
 
-    embed_fn(mcs) -> (ids, [(means, variances) per value of mcs]) is called
-    once, with mcs = [0, *mc_values]: uncertainty.embed_prefixes computes
-    max(mc_values) passes per item once, plus the baseline, and every sweep
-    point averages a prefix of the same passes. The caller fixes the seed.
+    A sweep embeds once with mcs = [0, *mc_values]: the baseline row, then
+    one per value, each averaged from a prefix of the same passes.
     """
-    mc_values = list(mc_values)
-    if not mc_values:
-        raise ValidationError("mc_sweep needs at least one mc value")
-    if any(m < 1 for m in mc_values):
-        raise ValidationError("mc values must be >= 1")
-    mcs = [0, *mc_values]
-    ids, embedded = embed_fn(mcs)
+    if not mcs or len(mcs) != len(embedded):
+        raise ValidationError(f"mc_sweep needs one (means, variances) per mc, got {len(embedded)} for {list(mcs)}")
     rows = []
-    for mc, (means, variances) in zip(mcs, embedded, strict=True):
+    for mc, (means, variances) in zip(mcs, embedded):
         rep = evaluate(ids, means, labels, config={"mc": mc})
         rows.append({"mc": mc, "stochastic": mc > 0, "micro_map": rep.micro_map,
                      "macro_map": rep.macro_map, "top1": rep.top1,
@@ -165,14 +158,10 @@ def mc_sweep(embed_fn, mc_values, labels):
     return rows
 
 
-def modality_ablation(embed_fn, subsets, labels):
-    """Evaluate the same items under different modality subsets.
-
-    embed_fn(subset or None) -> (ids, means, variances); None means all.
-    """
+def modality_ablation(runs, labels):
+    """One row per (subset, ids, means) of runs: the items embedded from that modality subset, None for all."""
     rows = []
-    for subset in subsets:
-        ids, means, _ = embed_fn(subset)
+    for subset, ids, means in runs:
         rep = evaluate(ids, means, labels,
                        config={"modalities": "all" if subset is None else list(subset)})
         rows.append({

@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff
 from .config import RunConfig, SOFT_MARGIN, TRIPLET, json_line
 from .data import DatasetFile
-from .errors import DivergenceError, ValidationError
+from .errors import DivergenceError, MiningError, ValidationError
 from .losses import batch_objective, mask_penalty, triplet_batch_term
 from .mining import (
     batch_hard_triplets,
@@ -147,8 +147,10 @@ def train(dataset: DatasetFile, cfg: RunConfig, out_dir=None, notions=None) -> T
             "lr": lr,
             "steps": len(losses),
             "triplets": triplet_count,
-            "mean_loss": float(np.mean(losses)) if losses else float("nan"),
+            "mean_loss": float(np.mean(losses)) if losses else None,
         })
+    if not step:
+        raise MiningError("no optimizer step: every semi-hard draw had no usable triplet")
     if out_dir is not None:
         save_checkpoint(net, out_dir / "checkpoint.json")
         (out_dir / "history.json").write_text(json_line({"config": cfg.to_dict(), "epochs": history}))

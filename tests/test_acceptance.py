@@ -67,10 +67,6 @@ def _study_cfg(seed):
                      triplet_cap=200, frame_samples=3)
 
 
-def _embed_fn(net, items, notion, seed):
-    return lambda mcs: embed_prefixes(net, items, notion, mcs, seed)
-
-
 @pytest.fixture(scope="session")
 def study():
     """Three-seed study on the hdd-like preset: joint nets, specialized nets,
@@ -88,7 +84,7 @@ def study():
             # one prefix run feeds the sweep and the uncertainty at mc = 50
             mcs = [0, *MC_GRID]
             ids, embedded = embed_prefixes(joint, items, notion, mcs, EVAL_SEED)
-            rows = mc_sweep(lambda _: (ids, embedded), MC_GRID, labels)
+            rows = mc_sweep(ids, mcs, embedded, labels)
             _, variances = embedded[mcs.index(50)]
             spec_net = train(tr, _study_cfg(seed), notions=[notion]).net
             ids, means, _ = embed_dataset(spec_net, items, notion, 50, EVAL_SEED)
@@ -326,7 +322,8 @@ def test_dropout_off_paths_match_deterministic_baseline():
     net0 = build_net(ds, cfg)
     items = [(it.id, it.payloads) for it in ds.items]
     labels = ds.labels_for("goal")
-    rows = mc_sweep(_embed_fn(net0, items, "goal", 3), [50], labels)
+    ids, embedded = embed_prefixes(net0, items, "goal", [0, 50], 3)
+    rows = mc_sweep(ids, [0, 50], embedded, labels)
     base, mc50 = rows
     assert mc50["mc"] == 50 and base["mc"] == 0
     assert abs(mc50["macro_map"] - base["macro_map"]) <= 1e-12

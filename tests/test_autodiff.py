@@ -162,16 +162,21 @@ class TestRnn:
             rnn_steps([np.zeros(4), np.zeros(5)], w_in, w_rec, b)
         with pytest.raises(ShapeError):
             rnn_steps([np.zeros(4)], w_in, Tensor(np.zeros((3, 4))), b)
+        # step 1 has no recurrent term, so rnn_steps itself checks W_h against the bias
+        for w_rec in (np.zeros((4, 4)), np.zeros((2, 2)), np.zeros(3)):
+            with pytest.raises(ShapeError, match="recurrent weight"):
+                rnn_steps([np.zeros(4)], w_in, Tensor(w_rec), b)
 
     def test_gradients_match_finite_differences(self):
-        # the step inputs are parameters too, so both pairs' input gradients are checked
+        # the step inputs are parameters too, so both pairs' input gradients are checked; one step has no W_h term
         rng = np.random.default_rng(16)
         seq = [Parameter(x, f"x{t}") for t, x in enumerate(rng.normal(size=(3, 4)))]
         w_in = Parameter(rng.normal(size=(4, 3)) * 0.5, "w_in")
         w_rec = Parameter(rng.normal(size=(3, 3)) * 0.5, "w_rec")
         b = Parameter(rng.normal(size=3) * 0.5, "b")
-        report = grad_check(lambda: autodiff.tsum(rnn_steps(seq, w_in, w_rec, b)), [w_in, w_rec, b, *seq])
-        assert report.passed, report.per_param
+        for steps in (seq, seq[:1]):
+            report = grad_check(lambda: autodiff.tsum(rnn_steps(steps, w_in, w_rec, b)), [w_in, w_rec, b, *steps])
+            assert report.passed, (len(steps), report.per_param)
 
 
 class TestNormalize:

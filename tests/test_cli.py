@@ -12,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcretrieval import cli, training
 from mcretrieval.cli import build_parser, main
 from mcretrieval.evaluation import average_precision, evaluate
-from mcretrieval.uncertainty import read_embeddings, write_embeddings
+from mcretrieval.mining import semi_hard_draw, session_draws
+from mcretrieval.uncertainty import embed_prefixes, read_embeddings, write_embeddings
 
 FAST_CFG = {
     "embed_dim": 8, "hidden_dim": 8, "epochs": 3, "decay_start": 1,
@@ -128,6 +130,39 @@ class TestTrain:
                      "--out", str(out)]) == 2
         one_error_line(capsys, "error[validation]:", "one modality set", f"item {recs[1]['id']} differs")
         assert not out.exists()
+
+    def test_run_with_no_step_exits_4_and_writes_no_file(self, workspace, tmp_path, capsys):
+        # every item its own goal class: no semi-hard draw has a positive, so no step is taken
+        data = tmp_path / "singletons.jsonl"
+        lines = workspace["data"].read_text().splitlines()
+        header, recs = json.loads(lines[0]), [json.loads(line) for line in lines[1:]]
+        header["classes"]["goal"] = [rec["id"] for rec in recs]
+        for rec in recs:
+            rec["labels"]["goal"] = rec["id"]
+        data.write_text("\n".join(json.dumps(r) for r in [header, *recs]) + "\n")
+        out = tmp_path / "run"
+        assert main(["train", "--dataset", str(data), "--config", str(workspace["cfg"]),
+                     "--out", str(out)]) == 4
+        one_error_line(capsys, "error[runtime]:", "no optimizer step")
+        assert not any(out.iterdir())
+
+    def test_last_epoch_without_a_step_records_null_mean_loss(self, workspace, tmp_path, capsys, monkeypatch):
+        epochs = []
+
+        def draws(*args):
+            epochs.append(args)
+            return session_draws(*args)
+
+        monkeypatch.setattr(training, "session_draws", draws)
+        monkeypatch.setattr(training, "semi_hard_draw", lambda *a: None if len(epochs) == 3 else semi_hard_draw(*a))
+        out = tmp_path / "run"
+        assert main(["train", "--dataset", str(workspace["data"]), "--config", str(workspace["cfg"]),
+                     "--out", str(out)]) == 0
+        assert "final mean loss none;" in capsys.readouterr().out
+        # NaN is not JSON: the epoch that took no step has no mean loss
+        doc = json.loads((out / "history.json").read_text(), parse_constant=pytest.fail)
+        assert [e["steps"] > 0 for e in doc["epochs"]] == [True, True, False]
+        assert doc["epochs"][2]["mean_loss"] is None
 
     def test_bad_dropout_exits_before_training(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
@@ -286,6 +321,19 @@ class TestEmbedRetrieve:
                      "--notion", "goal", "--mc", "0", "--out", str(out)]) == 2
         one_error_line(capsys, "error[validation]:", "no items")
         assert not out.exists()
+
+    def test_non_finite_embedding_is_one_runtime_line(self, workspace, tmp_path, capsys):
+        # finite weights this large overflow the forward; NaN is not JSON, so embed writes no NaN
+        doc = json.loads(workspace["ckpt"].read_text())
+        for p in doc["params"].values():
+            p["data"] = [1e300] * len(p["data"])
+        ckpt = tmp_path / "huge.json"
+        ckpt.write_text(json.dumps(doc))
+        out = tmp_path / "e.jsonl"
+        assert main(["embed", "--dataset", str(workspace["data"]), "--checkpoint", str(ckpt),
+                     "--notion", "goal", "--mc", "0", "--out", str(out)]) == 4
+        one_error_line(capsys, "error[runtime]:", "non-finite number")
+        assert "NaN" not in out.read_text()
 
     def test_retrieve_prints_ranked_gallery(self, workspace, capsys):
         emb = workspace["root"] / "emb_r.jsonl"
@@ -472,6 +520,7 @@ class TestEvalSweepUncertaintyAblate:
         (["embed", "--mc", "-1", "--out", "unused.json"], "--mc", "must be >= 0"),
         (["eval", "--mc", "abc"], "--mc", "invalid int value: 'abc'"),
         (["sweep", "--mc-list", ","], "--mc-list", "at least one mc value"),
+        (["sweep", "--mc-list", "0,2"], "--mc-list", "must be >= 1"),
     ])
     def test_bad_mc_names_its_flag(self, workspace, capsys, argv, flag, says):
         code = main([argv[0], "--dataset", str(workspace["data"]),
@@ -480,6 +529,28 @@ class TestEvalSweepUncertaintyAblate:
         err = capsys.readouterr().err
         assert err.startswith("error[validation]:") and err.count("\n") == 1
         assert flag in err and says in err
+
+    def test_sweep_embeds_once_in_the_given_order(self, workspace, monkeypatch):
+        calls = []
+
+        def counted(net, items, notion, mcs, seed):
+            calls.append(list(mcs))
+            return embed_prefixes(net, items, notion, mcs, seed)
+
+        monkeypatch.setattr(cli, "embed_prefixes", counted)
+        assert main(["sweep", "--dataset", str(workspace["data"]), "--checkpoint", str(workspace["ckpt"]),
+                     "--notion", "goal", "--mc-list", "4,1,4,2"]) == 0
+        assert calls == [[0, 4, 1, 4, 2]]
+
+    @pytest.mark.parametrize("argv", [
+        ["embed", "--mc", "0", "--out", "unused.json", "--modalities", ","],
+        ["eval", "--mc", "0", "--modalities", " "],
+        ["eval", "--mc", "0", "--modalities", ""],
+    ])
+    def test_empty_modalities_names_its_flag(self, workspace, capsys, argv):
+        assert main([argv[0], "--dataset", str(workspace["data"]), "--checkpoint", str(workspace["ckpt"]),
+                     "--notion", "goal", *argv[1:]]) == 2
+        one_error_line(capsys, "error[validation]:", "--modalities")
 
     @pytest.mark.parametrize("argv", [
         ["eval", "--mc", "0", "--modalities", "vec,vce"],
@@ -612,9 +683,13 @@ class TestEvalSweepUncertaintyAblate:
 
     def test_embeddings_nan_mean_exits_with_one_line(self, tmp_path, capsys):
         emb = tmp_path / "emb.jsonl"
-        means = np.zeros((2, 3))
-        means[1, 0] = np.nan
-        write_embeddings(emb, ["a", "b"], means, np.ones((2, 3)), "goal", 5)
+        write_embeddings(emb, ["a", "b"], np.zeros((2, 3)), np.ones((2, 3)), "goal", 5)
+        lines = emb.read_text().splitlines()  # write_embeddings refuses NaN, so it goes in by hand
+        rec = json.loads(lines[1])
+        rec["mean"][0] = float("nan")
+        lines[1] = json.dumps(rec)
+        emb.write_text("\n".join(lines) + "\n")
+        assert "NaN" in lines[1]
         assert main(["retrieve", "--embeddings", str(emb), "--query-ids", "a"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error[parse]:") and "emb.jsonl:2:" in err

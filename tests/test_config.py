@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from mcretrieval import ParseError, ValidationError
-from mcretrieval.config import RunConfig, load_config
+from mcretrieval import ContractError, ParseError, ValidationError
+from mcretrieval.config import RunConfig, json_line, load_config
 
 
 class TestDefaults:
@@ -69,3 +69,11 @@ class TestFile:
         p.write_text(json.dumps({"dropout": 1.5}))
         with pytest.raises(ValidationError):
             load_config(p)
+
+
+def test_json_line_rejects_nan_and_infinity():
+    # neither is JSON, so no document the program writes may hold one
+    assert json_line({"b": 1.5, "a": [None]}) == '{"a":[null],"b":1.5}\n'
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ContractError, match="non-finite"):
+            json_line({"mean_loss": bad})

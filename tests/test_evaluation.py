@@ -151,8 +151,8 @@ class TestEvaluate:
             evaluate(["a", "b"], np.zeros(2), ["A", "A"])
 
 
-def fake_embed_factory():
-    """Deterministic stand-in for mc_embed: accuracy grows with mc."""
+def fake_embedded(mcs):
+    """Deterministic stand-in for an embed_prefixes result at mcs: accuracy grows with mc."""
     rng = np.random.default_rng(7)
     protos = {"A": np.array([1.0, 0.0]), "B": np.array([0.0, 1.0])}
     labels = ["A", "A", "A", "B", "B", "B"]
@@ -163,47 +163,38 @@ def fake_embed_factory():
         means = np.stack([protos[lab] for lab in labels]) + scale * base_noise
         return means, np.full_like(means, 1.0 / mc if mc else 0.0)
 
-    def embed_fn(mcs):
-        return [f"i{k}" for k in range(len(labels))], [embed_one(mc) for mc in mcs]
-
-    return embed_fn, labels
+    return [f"i{k}" for k in range(len(labels))], [embed_one(mc) for mc in mcs], labels
 
 
 class TestSweepAndAblation:
     def test_sweep_has_baseline_row_and_mc_rows(self):
-        embed_fn, labels = fake_embed_factory()
-        rows = mc_sweep(embed_fn, [1, 4, 16], labels)
+        ids, embedded, labels = fake_embedded([0, 1, 4, 16])
+        rows = mc_sweep(ids, [0, 1, 4, 16], embedded, labels)
         assert [r["mc"] for r in rows] == [0, 1, 4, 16]
         assert rows[0]["stochastic"] is False
         assert rows[0]["mean_variance"] == 0.0
         assert all(0.0 <= r["micro_map"] <= 1.0 for r in rows)
 
     def test_sweep_improves_with_passes_for_shrinking_noise(self):
-        embed_fn, labels = fake_embed_factory()
-        rows = mc_sweep(embed_fn, [1, 4, 64], labels)
+        ids, embedded, labels = fake_embedded([0, 1, 4, 64])
+        rows = mc_sweep(ids, [0, 1, 4, 64], embedded, labels)
         by_mc = {r["mc"]: r["micro_map"] for r in rows}
         assert by_mc[64] >= by_mc[1]
         assert by_mc[64] >= by_mc[0] - 1e-12
 
     def test_sweep_validation(self):
-        embed_fn, labels = fake_embed_factory()
+        ids, embedded, labels = fake_embedded([0, 2])
         with pytest.raises(ValidationError):
-            mc_sweep(embed_fn, [], labels)
-        with pytest.raises(ValidationError):
-            mc_sweep(embed_fn, [0, 2], labels)
+            mc_sweep(ids, [], [], labels)
+        with pytest.raises(ValidationError):  # one (means, variances) short of the mcs
+            mc_sweep(ids, [0, 2], embedded[:1], labels)
 
     def test_ablation_rows(self):
         labels = ["A", "A", "B", "B"]
         full = np.array([[0.0, 0.0], [0.1, 0.0], [1.0, 1.0], [1.1, 1.0]])
-
-        def embed_fn(subset):
-            ids = [f"i{k}" for k in range(4)]
-            if subset is None:
-                return ids, full, np.zeros_like(full)
-            # single-modality view collapses the informative axis
-            return ids, full * np.array([1.0, 0.0]), np.zeros_like(full)
-
-        rows = modality_ablation(embed_fn, [None, ["cam"]], labels)
+        ids = [f"i{k}" for k in range(4)]
+        # single-modality view collapses the informative axis
+        rows = modality_ablation([(None, ids, full), (["cam"], ids, full * np.array([1.0, 0.0]))], labels)
         assert rows[0]["modalities"] == "all"
         assert rows[1]["modalities"] == "cam"
         assert rows[0]["micro_map"] >= rows[1]["micro_map"]

@@ -351,19 +351,13 @@ class TestPrefixes:
             with pytest.raises(ValidationError):
                 embed_prefixes(net, items, "goal", bad, 0)
 
-    def test_sweep_embeds_once_in_the_given_order(self):
+    def test_sweep_rows_in_the_given_order_match_single_embeds(self):
         net = small_net()
         rng = np.random.default_rng(26)
         items = [(f"it{i}", payloads(rng)) for i in range(6)]
         labels = ["a", "b", "a", "b", "a", "b"]
-        calls = []
-
-        def embed_fn(mcs):
-            calls.append(list(mcs))
-            return embed_prefixes(net, items, "goal", mcs, 9)
-
-        rows = mc_sweep(embed_fn, [4, 1, 4, 2], labels)
-        assert calls == [[0, 4, 1, 4, 2]]
+        ids, embedded = embed_prefixes(net, items, "goal", [0, 4, 1, 4, 2], 9)
+        rows = mc_sweep(ids, [0, 4, 1, 4, 2], embedded, labels)
         assert [r["mc"] for r in rows] == [0, 4, 1, 4, 2]
         for row in rows:
             ids, means, variances = embed_dataset(net, items, "goal", row["mc"], 9)
