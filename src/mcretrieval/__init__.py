@@ -2,6 +2,7 @@
 
 __version__ = "0.1.0"
 
+import logging
 from .autodiff import (
     Parameter,
     Tensor,
@@ -23,3 +24,5 @@ from .errors import (
 from .gradcheck import GradCheckReport, grad_check
 from .optim import Adam, lr_schedule
 from .rng import RngStream
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())  # log records reach only handlers a caller attaches

@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from .config import RunConfig, json_line, load_config
+from .config import RunConfig, load_config, write_lines
 from .data import PRESETS, preset_args, read_dataset, synth_generate, write_dataset
 from .errors import McRetrievalError, ParseError, ValidationError
 from .evaluation import evaluate, gathered_distances, mc_sweep, modality_ablation, ranked_galleries, write_report
@@ -63,20 +63,22 @@ def cmd_train(args):
 
 
 def cmd_embed(args):
+    modalities = _split_csv(args.modalities, "--modalities", "modality")
     dataset = read_dataset(args.dataset)
     if not dataset.items:  # an empty embeddings file is not one retrieve can read
         raise ValidationError(f"{args.dataset} has no items to embed")
     net = load_checkpoint(args.checkpoint)
-    ids, means, variances = embed_dataset(net, dataset.items, args.notion, args.mc, args.seed,
-                                          _split_csv(args.modalities, "--modalities", "modality"))
+    ids, means, variances = embed_dataset(net, dataset.items, args.notion, args.mc, args.seed, modalities)
     write_embeddings(args.out, ids, means, variances, args.notion, args.mc)
     print(f"embedded {len(ids)} items (notion={args.notion}, mc={args.mc}) to {args.out}")
     return 0
 
 
 def cmd_retrieve(args):
-    emb = read_embeddings(args.embeddings)
     queries = _split_csv(args.query_ids, "--query-ids", "item")
+    if args.k < 1:
+        raise ValidationError("--k must be >= 1")
+    emb = read_embeddings(args.embeddings)
     # q names each id whose text it is, the key ranked_galleries breaks ties on (ids 3 and "3"
     # share one), and, if it is a JSON number, the id of that value however spelt (1e20, 1.50)
     by_text, by_id = {}, {item_id: i for i, item_id in enumerate(emb.ids)}
@@ -96,8 +98,6 @@ def cmd_retrieve(args):
     shared = [q for q in queries if len(named[q]) > 1]
     if shared:
         raise ValidationError(f"query ids that name more than one item: {', '.join(shared)}")
-    if args.k < 1:
-        raise ValidationError("--k must be >= 1")
     rows = [named[q][0] for q in queries]
     for q, row, order in zip(queries, rows, ranked_galleries(emb.means, emb.ids, rows)):
         top = order[: args.k]
@@ -107,9 +107,9 @@ def cmd_retrieve(args):
 
 
 def cmd_eval(args):
+    modalities = _split_csv(args.modalities, "--modalities", "modality")
     dataset = read_dataset(args.dataset)
     net = load_checkpoint(args.checkpoint)
-    modalities = _split_csv(args.modalities, "--modalities", "modality")
     ids, means, _ = embed_dataset(net, dataset.items, args.notion, args.mc, args.seed, modalities)
     report = evaluate(ids, means, dataset.labels_for(args.notion), config={
         "notion": args.notion, "mc": args.mc, "seed": args.seed,
@@ -124,14 +124,14 @@ def cmd_eval(args):
 
 
 def cmd_sweep(args):
-    dataset = read_dataset(args.dataset)
-    net = load_checkpoint(args.checkpoint)
     try:
         mc_values = [int(v) for v in _split_csv(args.mc_list, "--mc-list", "mc value")]
     except ValueError:
         raise ValidationError(f"--mc-list must be a comma list of integers, got {args.mc_list!r}") from None
     if min(mc_values) < 1:
         raise ValidationError(f"--mc-list values must be >= 1, got {args.mc_list!r}")
+    dataset = read_dataset(args.dataset)
+    net = load_checkpoint(args.checkpoint)
     mcs = [0, *mc_values]
     ids, embedded = embed_prefixes(net, dataset.items, args.notion, mcs, args.seed)
     rows = mc_sweep(ids, mcs, embedded, dataset.labels_for(args.notion))
@@ -144,10 +144,10 @@ def cmd_sweep(args):
 
 
 def cmd_uncertainty(args):
-    dataset = read_dataset(args.dataset)
-    net = load_checkpoint(args.checkpoint)
     if args.mc < 2:
         raise ValidationError("uncertainty needs --mc >= 2 stochastic passes")
+    dataset = read_dataset(args.dataset)
+    net = load_checkpoint(args.checkpoint)
     ids, _, variances = embed_dataset(net, dataset.items, args.notion, args.mc, args.seed)
     labels = dataset.labels_for(args.notion)
     rows = per_class_uncertainty(variances, labels)
@@ -159,8 +159,7 @@ def cmd_uncertainty(args):
                    "dataset": args.dataset, "checkpoint": args.checkpoint},
     }
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(json_line(doc))
+        write_lines(args.out, [doc])
     print(f"dataset_uncertainty={overall:.6g} over {len(rows)} classes")
     for r in rows:
         print(f"class={str(r['class']):<12s} size={r['size']:<4d} "
@@ -169,10 +168,10 @@ def cmd_uncertainty(args):
 
 
 def cmd_ablate(args):
-    dataset = read_dataset(args.dataset)
-    net = load_checkpoint(args.checkpoint)
     subsets = [None if raw == "all" else _split_csv(raw, "--subsets entry", "modality or be 'all'")
                for raw in args.subsets]
+    dataset = read_dataset(args.dataset)
+    net = load_checkpoint(args.checkpoint)
     runs = [(subset, *embed_dataset(net, dataset.items, args.notion, args.mc, args.seed, subset)[:2])
             for subset in subsets]
     rows = modality_ablation(runs, dataset.labels_for(args.notion))

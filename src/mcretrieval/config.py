@@ -5,9 +5,11 @@ typo cannot silently fall back to a default. Every report echoes the
 config it was produced under.
 """
 
+import contextlib
 import itertools
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -117,6 +119,22 @@ def json_line(doc) -> str:
         return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
     except ValueError:  # NaN and Infinity are not JSON, and no reader of ours takes them
         raise ContractError("a non-finite number cannot be written as JSON") from None
+
+
+def write_lines(path, docs):
+    """Stream each doc as a json_line into PATH.tmp, then os.replace it onto path: the writer of every output file.
+
+    On any error the tmp file goes and the error is re-raised, so path keeps its old bytes or stays absent.
+    """
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w") as f:
+            f.writelines(map(json_line, docs))
+        os.replace(tmp, path)
+    except BaseException:  # a refused doc, a failed write or an interrupt alike
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def check_json_types(cls, doc: dict, what: str) -> dict:

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .config import check_json_types, json_line, number_array
+from .config import check_json_types, number_array, write_lines
 from .errors import ParseError, ValidationError
 from .model import SEQUENCE, VECTOR
 from .rng import RngStream
@@ -119,26 +119,28 @@ def check_id(value, seen: set):
 
 def write_dataset(path, ds: DatasetFile):
     ds.validate()
-    header = {
+    write_lines(path, _dataset_docs(ds))
+
+
+def _dataset_docs(ds: DatasetFile):
+    yield {
         "format": DATASET_FORMAT,
         "modalities": [asdict(m) for m in ds.modalities],
         "notions": list(ds.notions),
         "classes": {n: list(cs) for n, cs in ds.classes.items()},
         "sessions": ds.has_sessions,
     }
-    with open(path, "w") as f:
-        f.write(json_line(header))
-        for it in ds.items:
-            rec = {
-                "id": it.id,
-                "labels": it.labels,
-                "payloads": {
-                    name: np.asarray(p).tolist() for name, p in it.payloads.items()
-                },
-            }
-            if it.session is not None:
-                rec["session"] = it.session
-            f.write(json_line(rec))
+    for it in ds.items:
+        rec = {
+            "id": it.id,
+            "labels": it.labels,
+            "payloads": {
+                name: np.asarray(p).tolist() for name, p in it.payloads.items()
+            },
+        }
+        if it.session is not None:
+            rec["session"] = it.session
+        yield rec
 
 
 @contextmanager

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import json_line
+from .config import write_lines
 from .errors import ShapeError, ValidationError
 from .mining import class_order, label_codes, pairwise_distances, row_blocks
 
@@ -185,5 +185,4 @@ def write_report(path, rows_or_report):
         columns = list(rows[0])
         doc = {"columns": columns,
                "rows": [[row[c] for c in columns] for row in rows]}
-    with open(path, "w") as f:
-        f.write(json_line(doc))
+    write_lines(path, [doc])

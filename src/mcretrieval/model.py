@@ -7,7 +7,6 @@ before L2 normalization. Dropout sits in front of every weight layer;
 the hidden-to-hidden path of the recurrence carries none.
 """
 
-import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -22,7 +21,7 @@ from .autodiff import (
     relu,
     rnn_steps,
 )
-from .config import check_json_types, json_line, load_json, number_array
+from .config import check_json_types, load_json, number_array, write_lines
 from .errors import ShapeError, ValidationError
 from .rng import RngStream
 
@@ -312,12 +311,8 @@ class ConditionalNet:
 
 
 def save_checkpoint(net: ConditionalNet, path):
-    """Write a self-describing checkpoint atomically; identical nets produce identical bytes."""
-    text = json_line(net.to_checkpoint())
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as f:
-        f.write(text)
-    os.replace(tmp, path)
+    """Write a self-describing checkpoint with config.write_lines; identical nets produce identical bytes."""
+    write_lines(path, [net.to_checkpoint()])
 
 
 def load_checkpoint(path) -> ConditionalNet:

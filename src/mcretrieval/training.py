@@ -1,10 +1,11 @@
 """Joint conditional training over all notions of a dataset.
 
 One training step consumes one mined triplet batch. Notions alternate
-round-robin: step t trains with the labels (and mask) of notion
-t mod M, so every notion sees the same optimizer schedule. Mining
-embeddings are computed without a mask source, so without dropout; the
-gradient step itself runs stochastic forwards.
+round-robin over draws: draw t of a run (a batch-hard step, or a
+semi-hard draw, skipped or not) mines with the labels (and mask) of
+notion t mod M, so a notion whose draws yield no triplet cannot starve
+the others. Mining embeddings are computed without a mask source, so
+without dropout; the gradient step itself runs stochastic forwards.
 """
 
 import logging
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff
-from .config import RunConfig, SOFT_MARGIN, TRIPLET, json_line
+from .config import RunConfig, SOFT_MARGIN, TRIPLET, write_lines
 from .data import DatasetFile
 from .errors import DivergenceError, MiningError, ValidationError
 from .losses import batch_objective, mask_penalty, triplet_batch_term
@@ -78,8 +79,8 @@ def train(dataset: DatasetFile, cfg: RunConfig, out_dir=None, notions=None) -> T
 
     notions restricts training (and the net's masks) to a subset, e.g.
     a specialized single-notion model. With out_dir set, checkpoint.json
-    and history.json are written once, after the last epoch; the checkpoint
-    is written atomically. Fixed seed, fixed dataset: identical checkpoints
+    and history.json are written once each, after the last epoch, by
+    config.write_lines. Fixed seed, fixed dataset: identical checkpoints
     across runs.
     """
     dataset.validate()
@@ -104,7 +105,7 @@ def train(dataset: DatasetFile, cfg: RunConfig, out_dir=None, notions=None) -> T
         out_dir.mkdir(parents=True, exist_ok=True)
 
     history = []
-    step = 0
+    step = draws = 0  # draws: semi-hard draws so far, skipped ones too; it picks the notion
     for epoch in range(cfg.epochs):
         lr = lr_schedule(epoch, cfg.epochs, cfg.lr, cfg.decay_start)
         losses = []
@@ -124,7 +125,8 @@ def train(dataset: DatasetFile, cfg: RunConfig, out_dir=None, notions=None) -> T
             mine_rng = mine_rng_root.substream(epoch)
             for draw, items in enumerate(session_draws(len(dataset.items), dataset.sessions(),
                                                        cfg.sessions_per_draw, mine_rng)):
-                notion = net.notions[step % len(net.notions)]
+                notion = net.notions[draws % len(net.notions)]
+                draws += 1
 
                 def embed_fn(idxs):
                     with autodiff.no_grad():
@@ -153,5 +155,5 @@ def train(dataset: DatasetFile, cfg: RunConfig, out_dir=None, notions=None) -> T
         raise MiningError("no optimizer step: every semi-hard draw had no usable triplet")
     if out_dir is not None:
         save_checkpoint(net, out_dir / "checkpoint.json")
-        (out_dir / "history.json").write_text(json_line({"config": cfg.to_dict(), "epochs": history}))
+        write_lines(out_dir / "history.json", [{"config": cfg.to_dict(), "epochs": history}])
     return TrainResult(net=net, history=history, config=cfg.to_dict())

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff
-from .config import check_json_types, json_line, number_array
+from .config import check_json_types, number_array, write_lines
 from .data import at_line, check_id, json_lines
 from .errors import ValidationError
 from .rng import RowStreams
@@ -190,17 +190,14 @@ class EmbeddingFile:
 
 
 def write_embeddings(path, ids, means, variances, notion: str, mc: int):
-    """Line-delimited JSON, one record per item, full float64 round-trip."""
-    with open(path, "w") as f:
-        for i, item_id in enumerate(ids):
-            rec = {
-                "id": item_id,
-                "notion": notion,
-                "mc": mc,
-                "mean": [float(x) for x in means[i]],
-                "variance": [float(x) for x in variances[i]],
-            }
-            f.write(json_line(rec))
+    """Line-delimited JSON, one record per item, full float64 round-trip, written with config.write_lines."""
+    write_lines(path, ({
+        "id": item_id,
+        "notion": notion,
+        "mc": mc,
+        "mean": [float(x) for x in means[i]],
+        "variance": [float(x) for x in variances[i]],
+    } for i, item_id in enumerate(ids)))
 
 
 def read_embeddings(path) -> EmbeddingFile:

@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -12,10 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mcretrieval
 from mcretrieval import cli, training
 from mcretrieval.cli import build_parser, main
-from mcretrieval.evaluation import average_precision, evaluate
+from mcretrieval.config import RunConfig
+from mcretrieval.data import read_dataset, write_dataset
+from mcretrieval.errors import ContractError
+from mcretrieval.evaluation import average_precision, evaluate, write_report
 from mcretrieval.mining import semi_hard_draw, session_draws
+from mcretrieval.model import load_checkpoint, save_checkpoint
+from mcretrieval.training import train
 from mcretrieval.uncertainty import embed_prefixes, read_embeddings, write_embeddings
 
 FAST_CFG = {
@@ -48,6 +58,18 @@ def relabel(src, dst, notion, rename):
     recs = [json.loads(line) for line in lines[1:]]
     for rec in recs:
         rec["labels"][notion] = rename(rec["labels"][notion])
+    dst.write_text("\n".join(json.dumps(r) for r in [header, *recs]) + "\n")
+    return dst
+
+
+def singletons(src, dst, notions=None):
+    """Copy a dataset file with every item its own class in each of notions (default: all)."""
+    lines = src.read_text().splitlines()
+    header, recs = json.loads(lines[0]), [json.loads(line) for line in lines[1:]]
+    for notion in notions or header["notions"]:
+        header["classes"][notion] = [rec["id"] for rec in recs]
+        for rec in recs:
+            rec["labels"][notion] = rec["id"]
     dst.write_text("\n".join(json.dumps(r) for r in [header, *recs]) + "\n")
     return dst
 
@@ -132,19 +154,24 @@ class TestTrain:
         assert not out.exists()
 
     def test_run_with_no_step_exits_4_and_writes_no_file(self, workspace, tmp_path, capsys):
-        # every item its own goal class: no semi-hard draw has a positive, so no step is taken
-        data = tmp_path / "singletons.jsonl"
-        lines = workspace["data"].read_text().splitlines()
-        header, recs = json.loads(lines[0]), [json.loads(line) for line in lines[1:]]
-        header["classes"]["goal"] = [rec["id"] for rec in recs]
-        for rec in recs:
-            rec["labels"]["goal"] = rec["id"]
-        data.write_text("\n".join(json.dumps(r) for r in [header, *recs]) + "\n")
+        # every item its own class in every notion: no semi-hard draw has a positive, so no step is taken
+        data = singletons(workspace["data"], tmp_path / "singletons.jsonl")
         out = tmp_path / "run"
         assert main(["train", "--dataset", str(data), "--config", str(workspace["cfg"]),
                      "--out", str(out)]) == 4
         one_error_line(capsys, "error[runtime]:", "no optimizer step")
         assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("notions,code,lines", [(None, 4, 1), (["goal"], 0, 0)], ids=["no_step", "stimulus_trains"])
+    def test_skipped_draws_print_no_warning(self, workspace, tmp_path, notions, code, lines):
+        # pytest's log capture hides what Python prints for a logger with no handler, so run a process
+        data = singletons(workspace["data"], tmp_path / "singletons.jsonl", notions)
+        src = os.path.dirname(os.path.dirname(mcretrieval.__file__))
+        run = subprocess.run([sys.executable, "-m", "mcretrieval.cli", "train", "--dataset", str(data),
+                              "--config", str(workspace["cfg"]), "--out", str(tmp_path / "run")],
+                             capture_output=True, text=True, timeout=300,
+                             env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))})
+        assert run.returncode == code and len(run.stderr.splitlines()) == lines, run.stderr
 
     def test_last_epoch_without_a_step_records_null_mean_loss(self, workspace, tmp_path, capsys, monkeypatch):
         epochs = []
@@ -333,7 +360,7 @@ class TestEmbedRetrieve:
         assert main(["embed", "--dataset", str(workspace["data"]), "--checkpoint", str(ckpt),
                      "--notion", "goal", "--mc", "0", "--out", str(out)]) == 4
         one_error_line(capsys, "error[runtime]:", "non-finite number")
-        assert "NaN" not in out.read_text()
+        assert not out.exists()
 
     def test_retrieve_prints_ranked_gallery(self, workspace, capsys):
         emb = workspace["root"] / "emb_r.jsonl"
@@ -726,3 +753,95 @@ class TestEvalSweepUncertaintyAblate:
         code = main(["eval", "--dataset", str(tmp_path / "nope.jsonl"),
                      "--checkpoint", str(tmp_path / "nope.json"), "--notion", "goal"])
         assert code == 2
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["uncertainty", "--mc", "1"], "--mc"),
+        (["sweep", "--mc-list", "0,2"], "--mc-list"),
+        (["sweep", "--mc-list", "x"], "--mc-list"),
+        (["embed", "--out", "{missing}.out", "--modalities", ","], "--modalities"),
+        (["eval", "--modalities", ","], "--modalities"),
+        (["ablate", "--subsets", ","], "--subsets"),
+        (["retrieve", "--query-ids", ","], "--query-ids"),
+        (["retrieve", "--query-ids", "a", "--k", "0"], "--k"),
+    ], ids=["uncertainty_mc", "sweep_mc_list_0", "sweep_mc_list_x", "embed_modalities", "eval_modalities",
+            "ablate_subsets", "retrieve_query_ids", "retrieve_k"])
+    def test_bad_flag_is_refused_before_any_file_is_read(self, tmp_path, capsys, argv, flag):
+        missing = tmp_path / "missing"
+        inputs = ["--embeddings", str(missing)] if argv[0] == "retrieve" else \
+            ["--dataset", str(missing), "--checkpoint", str(missing), "--notion", "goal"]
+        assert main([argv[0], *inputs, *(a.format(missing=missing) for a in argv[1:])]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[validation]:") and err.count("\n") == 1, err
+        assert flag in err and str(missing) not in err, err
+
+
+def _nan_last(a):
+    """a as a new float array whose last number is NaN."""
+    a = np.array(a, dtype=np.float64)
+    a.flat[-1] = np.nan
+    return a
+
+
+def _nan_dataset(path, workspace, monkeypatch):
+    ds = read_dataset(workspace["data"])
+    ds.items[-1].payloads["vec"] = _nan_last(ds.items[-1].payloads["vec"])
+    write_dataset(path, ds)
+
+
+def _nan_checkpoint(path, workspace, monkeypatch):
+    net = load_checkpoint(workspace["ckpt"])
+    for p in net.params.values():
+        p.data = _nan_last(p.data)
+    save_checkpoint(net, path)
+
+
+def _nan_history(path, workspace, monkeypatch):
+    cfg = RunConfig(**FAST_CFG)
+    monkeypatch.setattr(cfg, "to_dict", lambda: {**FAST_CFG, "lr": math.nan})
+    train(read_dataset(workspace["data"]), cfg, out_dir=path.parent)
+
+
+def _nan_uncertainty(path, workspace, monkeypatch):
+    monkeypatch.setattr(cli, "dataset_uncertainty", lambda *args: math.nan)
+    cli.cmd_uncertainty(build_parser().parse_args([
+        "uncertainty", "--dataset", str(workspace["data"]), "--checkpoint", str(workspace["ckpt"]),
+        "--notion", "goal", "--mc", "2", "--out", str(path)]))
+
+
+# each public writer, handed a non-finite number in its last document: (target file name, write)
+NAN_WRITERS = {
+    "write_dataset": ("data.jsonl", _nan_dataset),
+    "write_embeddings": ("emb.jsonl", lambda path, *_: write_embeddings(
+        path, ["a", "b"], _nan_last(np.eye(2)), np.zeros((2, 2)), "goal", 0)),
+    "write_report": ("report.json", lambda path, *_: write_report(
+        path, [{"mc": 1, "v": 0.5}, {"mc": 2, "v": math.nan}])),
+    "save_checkpoint": ("checkpoint.json", _nan_checkpoint),
+    "train_history": ("history.json", _nan_history),
+    "cmd_uncertainty": ("unc.json", _nan_uncertainty),
+}
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("existing", [True, False], ids=["existing", "missing"])
+    @pytest.mark.parametrize("writer", sorted(NAN_WRITERS))
+    def test_refused_document_leaves_target_as_it_was(self, workspace, tmp_path, monkeypatch, writer, existing):
+        name, write = NAN_WRITERS[writer]
+        path = tmp_path / name
+        if existing:
+            path.write_bytes(b"old bytes\n")
+        with pytest.raises(ContractError, match="non-finite"):
+            write(path, workspace, monkeypatch)
+        assert not (tmp_path / f"{name}.tmp").exists()
+        if existing:
+            assert path.read_bytes() == b"old bytes\n"
+        else:
+            assert not path.exists()
+
+    def test_out_naming_a_directory_exits_2(self, workspace, tmp_path, capsys):
+        out = tmp_path / "dir"
+        out.mkdir()
+        assert main(["embed", "--dataset", str(workspace["data"]), "--checkpoint", str(workspace["ckpt"]),
+                     "--notion", "goal", "--mc", "0", "--out", str(out)]) == 2
+        one_error_line(capsys, "error[validation]:", str(out))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir"]
+        assert not any(out.iterdir())

@@ -155,6 +155,21 @@ class TestSemiHardLoop:
         assert len(records) == 1 and records[0].levelno == logging.WARNING
         assert sum(h["steps"] for h in result.history) + 1 == len(calls)
 
+    def test_skipped_draw_passes_the_notion_on(self, monkeypatch):
+        # the notion rotates with every draw, so a notion whose draw is skipped does not take the next one
+        ds = easy_dataset()
+        notions = []
+
+        def draw(dist, labels, *args):
+            notions.append(next(n for n in ds.notions if labels[0] in ds.classes[n]))
+            return None if len(notions) in (1, 2, 5) else semi_hard_draw(dist, labels, *args)
+
+        monkeypatch.setattr(training, "semi_hard_draw", draw)
+        result = train(ds, small_cfg(epochs=3))
+        assert len(notions) == 6
+        assert notions == [ds.notions[d % 2] for d in range(len(notions))]
+        assert sum(h["steps"] for h in result.history) == len(notions) - 3
+
 
 class TestDescend:
     def setup_method(self):
