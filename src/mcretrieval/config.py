@@ -10,6 +10,7 @@ import itertools
 import json
 import math
 import os
+import shutil
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -126,10 +127,15 @@ def write_lines(path, docs):
 
     On any error the tmp file goes and the error is re-raised, so path keeps its old bytes or stays absent.
     """
+    if os.path.exists(path) and not os.path.isfile(path):  # a directory, device or FIFO is never replaced
+        raise ValidationError(f"{path} is not a regular file")
+    path = os.path.realpath(path)  # a symlink is written through, not replaced
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w") as f:
             f.writelines(map(json_line, docs))
+        if os.path.exists(path):  # an existing file keeps its permission bits
+            shutil.copymode(path, tmp)
         os.replace(tmp, path)
     except BaseException:  # a refused doc, a failed write or an interrupt alike
         with contextlib.suppress(FileNotFoundError):

@@ -845,3 +845,25 @@ class TestOutputFiles:
         one_error_line(capsys, "error[validation]:", str(out))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dir"]
         assert not any(out.iterdir())
+
+    def test_out_naming_a_fifo_exits_2_and_leaves_it(self, workspace, tmp_path, capsys):
+        out = tmp_path / "fifo"
+        os.mkfifo(out)
+        assert main(["embed", "--dataset", str(workspace["data"]), "--checkpoint", str(workspace["ckpt"]),
+                     "--notion", "goal", "--mc", "0", "--out", str(out)]) == 2
+        one_error_line(capsys, "error[validation]:", str(out), "not a regular file")
+        assert out.is_fifo()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo"]
+
+    def test_symlink_is_written_through_and_mode_kept(self, workspace, tmp_path):
+        target = tmp_path / "real.jsonl"
+        target.write_bytes(b"old bytes\n")
+        target.chmod(0o600)
+        link = tmp_path / "link.jsonl"
+        link.symlink_to(target)
+        assert main(["embed", "--dataset", str(workspace["data"]), "--checkpoint", str(workspace["ckpt"]),
+                     "--notion", "goal", "--mc", "0", "--out", str(link)]) == 0
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        assert len(read_embeddings(target).ids) == len(read_dataset(workspace["data"]).items)
+        assert target.stat().st_mode & 0o777 == 0o600
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.jsonl", "real.jsonl"]
